@@ -14,6 +14,7 @@ built once and each function still gets its own allocation tracker.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -719,17 +720,13 @@ class VerifyStressRow:
     level: str = "fast"
     unchecked_seconds: float = 0.0
     checked_seconds: float = 0.0
+    #: Median over repeats of checked over unchecked wall-clock, each repeat
+    #: timing the two back to back (1.0 means the checks are free).
+    overhead: float = 0.0
     verify_ms: float = 0.0
     diagnostics: int = 0
     errors: int = 0
     warnings: int = 0
-
-    @property
-    def overhead(self) -> float:
-        """Checked wall-clock over unchecked (1.0 means the checks are free)."""
-        if not self.unchecked_seconds:
-            return 0.0
-        return self.checked_seconds / self.unchecked_seconds
 
 
 def run_verify_stress(
@@ -740,14 +737,17 @@ def run_verify_stress(
 ) -> List["VerifyStressRow"]:
     """Translate every corpus spec with the invariant checkers on and off.
 
-    Each repeat regenerates the spec's function twice (translation mutates the
-    function, so checked and unchecked runs each get a fresh copy) and times a
-    plain translation against one at ``verify_level=level``; the row carries
-    best-of-repeats wall-clocks, the checker time the stats recorded, and the
-    diagnostic counts — zero diagnostics on the clean corpus is the lane's
-    pass condition.
+    Each repeat regenerates the spec's function twice, before either timed
+    region (translation mutates the function, so checked and unchecked runs
+    each get a fresh copy), and times a plain translation against one at
+    ``verify_level=level`` back to back, alternating which runs first.  The
+    row carries best-of-repeats wall-clocks, the median per-repeat overhead
+    (machine speed drifts between repeats far more than within one), the
+    checker time the stats recorded, and the diagnostic counts — zero
+    diagnostics on the clean corpus is the lane's pass condition.
     """
     from dataclasses import replace as dc_replace
+    from statistics import median
 
     from repro.bench.corpus import generate_stress_cfg
     from repro.pipeline.pipeline import Pipeline, resolve_engine
@@ -760,18 +760,27 @@ def run_verify_stress(
     for spec in specs:
         row = VerifyStressRow(level=level)
         best_plain = best_checked = None
-        for _ in range(max(1, repeats)):
-            function = generate_stress_cfg(spec)
-            row.blocks = len(function.blocks)
-            row.variables = len(function.variables())
-
-            began = time.perf_counter()
-            unchecked_pipeline.run(generate_stress_cfg(spec))
-            plain_seconds = time.perf_counter() - began
-
-            began = time.perf_counter()
-            result = checked_pipeline.run(function)
-            checked_seconds = time.perf_counter() - began
+        overheads: List[float] = []
+        for repeat in range(max(1, repeats)):
+            runs = [
+                (unchecked_pipeline, generate_stress_cfg(spec)),
+                (checked_pipeline, generate_stress_cfg(spec)),
+            ]
+            row.blocks = len(runs[0][1].blocks)
+            row.variables = len(runs[0][1].variables())
+            if repeat % 2:
+                runs.reverse()
+            timed = {}
+            for pipeline, function in runs:
+                # Collect first, so neither run pays for a collection the
+                # other's allocations triggered.
+                gc.collect()
+                began = time.perf_counter()
+                result = pipeline.run(function)
+                timed[pipeline] = (time.perf_counter() - began, result)
+            plain_seconds, _ = timed[unchecked_pipeline]
+            checked_seconds, result = timed[checked_pipeline]
+            overheads.append(checked_seconds / plain_seconds)
 
             if best_plain is None or plain_seconds < best_plain:
                 best_plain = plain_seconds
@@ -783,5 +792,6 @@ def run_verify_stress(
                 row.warnings = result.stats.verify_warnings
         row.unchecked_seconds = best_plain or 0.0
         row.checked_seconds = best_checked or 0.0
+        row.overhead = median(overheads)
         rows.append(row)
     return rows

@@ -258,8 +258,9 @@ def format_interference_stress(rows) -> str:
 def format_verify_stress(rows) -> str:
     """The verify stress lane: checked vs unchecked translation wall-clock.
 
-    One line per corpus size; ``overhead`` is the checked translation's
-    wall-clock over the unchecked one, ``verify (ms)`` the checker time the
+    One line per corpus size; the times are best-of-repeats, ``overhead`` is
+    the median over repeats of the checked translation's wall-clock over the
+    unchecked one timed beside it, ``verify (ms)`` the checker time the
     pipeline recorded, and ``diags``/``errors``/``warnings`` the diagnostic
     counts — all zero on a healthy pipeline.
     """

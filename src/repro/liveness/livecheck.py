@@ -5,22 +5,23 @@ This plays the role of the fast liveness checking of Boissinot et al.
 program point?" without ever building per-block live-in/live-out sets.
 
 Substitution note (see DESIGN.md): instead of the original's loop-nesting
-reachability sets we combine
+reachability sets, queries are answered by exact per-variable backward walks
+from the uses towards the definition, cached per variable the first time the
+variable is queried.  The checker precomputes nothing over the CFG.  The
+Figure 7 memory charge of the "LiveCheck" configurations is the paper's
+closed-form model of the CGO'08 sets (two bit-sets of #blocks bits per
+block, see :meth:`LivenessChecker.footprint_bytes`), not a structure this
+checker retains.
 
-* a CFG-only precomputation — forward reachability bit-sets over the blocks —
-  whose footprint only depends on the control-flow graph (this is what the
-  Figure 7 memory model charges for the "LiveCheck" configurations), and
-* exact per-variable backward walks from the uses towards the definition,
-  cached per variable the first time the variable is queried.
-
-Both structures survive program edits that do not change the CFG, which is the
-property the paper relies on ("these data structures are thus still valid even
-if instructions are moved, introduced, or removed").
+A walk cache survives every edit that neither mentions its variable nor
+splits an edge the variable is live across, which is the property the paper
+relies on ("these data structures are thus still valid even if instructions
+are moved, introduced, or removed").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, Set
 
 from repro.ir.editlog import BLOCK_SPLIT, EditLog
 from repro.ir.function import Function
@@ -35,48 +36,10 @@ class LivenessChecker(LivenessOracle):
 
     def __init__(self, function: Function) -> None:
         super().__init__(function)
-        self._labels = list(function.blocks)
-        self._label_index = {label: i for i, label in enumerate(self._labels)}
-        # CFG-only precomputation: forward reachability between blocks,
-        # stored as one bit-row per block (two bit-sets per block in the
-        # paper's accounting: reachability plus back-edge targets).
-        self._reach: Dict[str, int] = {}
-        self._compute_reachability()
         # Per-variable caches, filled lazily on first query.
         self._live_in_blocks: Dict[Variable, Set[str]] = {}
         self._live_out_blocks: Dict[Variable, Set[str]] = {}
         record_allocation("livecheck", self.footprint_bytes())
-
-    # -- CFG-only precomputation ---------------------------------------------------
-    def _compute_reachability(self) -> None:
-        """Forward reachability closure over blocks (iterative, bit rows)."""
-        index = self._label_index
-        rows = {label: 0 for label in self._labels}
-        for source, target in self.function.edges():
-            if target in index:
-                rows[source] |= 1 << index[target]
-        changed = True
-        while changed:
-            changed = False
-            for label in self._labels:
-                row = rows[label]
-                new_row = row
-                remaining = row
-                while remaining:
-                    bit = remaining & -remaining
-                    remaining ^= bit
-                    new_row |= rows[self._labels[bit.bit_length() - 1]]
-                if new_row != row:
-                    rows[label] = new_row
-                    changed = True
-        self._reach = rows
-
-    def reaches(self, source_label: str, target_label: str) -> bool:
-        """Can control flow from ``source`` reach ``target`` (non-reflexively)?"""
-        target_bit = self._label_index.get(target_label)
-        if target_bit is None or source_label not in self._reach:
-            return False
-        return bool(self._reach[source_label] >> target_bit & 1)
 
     # -- per-variable backward walks --------------------------------------------------
     def _ensure_variable(self, var: Variable) -> None:
@@ -123,18 +86,11 @@ class LivenessChecker(LivenessOracle):
     def apply_edits(self, log: EditLog) -> int:
         """Patch the per-variable answer caches from one structural edit log.
 
-        The checker's two long-lived structures react very differently to
-        edits, which is exactly the paper's point about liveness checking:
-
-        * the CFG-only reachability rows survive any edit that moves,
-          inserts or removes *instructions*; only a CFG change (an edge
-          split, a new block) forces their recomputation;
-        * the lazily-filled per-variable walk caches stay exact for every
-          variable no edit mentions (the :class:`~repro.ir.editlog.EditLog`
-          contract: a block whose instructions mention an affected variable
-          is logged as touched), so only the affected entries are dropped —
-          they refill on the next query instead of the whole oracle being
-          rebuilt.
+        The lazily-filled per-variable walk caches stay exact for every
+        variable no edit mentions (the :class:`~repro.ir.editlog.EditLog`
+        contract: a block whose instructions mention an affected variable is
+        logged as touched), so only the affected entries are dropped — they
+        refill on the next query instead of the whole oracle being rebuilt.
 
         Split edges additionally invalidate the cached walks of variables
         that may be live across (or φ-read on) the split edge: their block
@@ -157,11 +113,9 @@ class LivenessChecker(LivenessOracle):
         for var in log.affected_variables():
             drop(var)
 
-        cfg_changed = bool(log.new_blocks)
         for edit in log:
             if edit.kind != BLOCK_SPLIT or len(edit.blocks) != 3:
                 continue
-            cfg_changed = True
             source, _new_label, target = edit.blocks
             stale = [
                 var
@@ -170,11 +124,6 @@ class LivenessChecker(LivenessOracle):
             ]
             for var in stale:
                 drop(var)
-
-        if cfg_changed:
-            self._labels = list(self.function.blocks)
-            self._label_index = {label: i for i, label in enumerate(self._labels)}
-            self._compute_reachability()
 
         # Re-index the definition/use position maps eagerly: queries are the
         # hot path of every LiveCheck engine, so they must stay free of
@@ -195,6 +144,8 @@ class LivenessChecker(LivenessOracle):
 
     # -- memory accounting ------------------------------------------------------------------
     def footprint_bytes(self) -> int:
-        """The paper's estimate: two bit-sets of #blocks bits per block."""
-        num_blocks = len(self._labels)
+        """The paper's closed-form model of the CGO'08 sets: two bit-sets of
+        #blocks bits per block.  Nothing of that size is built here; the
+        charge keeps Figure 7's LiveCheck bars on the paper's accounting."""
+        num_blocks = len(self.function.blocks)
         return ((num_blocks + 7) // 8) * num_blocks * 2

@@ -5,13 +5,18 @@ no φ-functions) into pruned SSA:
 
 1. φ-functions are placed at the iterated dominance frontier of each
    variable's definition blocks, restricted to blocks where the variable is
-   live-in (pruned SSA, to avoid φs for dead paths);
+   live-in (pruned SSA, to avoid φs for dead paths).  Liveness comes from
+   the bit-set solver (:class:`~repro.liveness.bitsets.BitLivenessSets`),
+   which needs no SSA form, and is built once;
 2. a dominator-tree walk renames every definition to a fresh version and
    rewrites uses to the reaching version, filling φ-arguments edge by edge.
 
 Variables that may be read before being written (possible in generated
 workloads with loops) are given an implicit ``0`` initialisation at function
-entry so the result is strict SSA.
+entry so the result is strict SSA.  Those ``const 0`` defs sit at the top of
+the entry block, so they change only the entry's live-in; that answer can
+reach a φ join only through a predecessor of the entry, so liveness is rebuilt
+only in that (ill-formed, V108) case.
 
 ``BrDec`` counters are left untouched (not renamed): the paper notes that such
 counters "must not be promoted to SSA"; they keep a single name and both use
@@ -25,7 +30,7 @@ from typing import Dict, List, Optional, Set
 from repro.cfg.dominance import DominatorTree, dominance_frontiers, iterated_dominance_frontier
 from repro.ir.function import Function
 from repro.ir.instructions import BrDec, Constant, Op, Phi, Variable
-from repro.liveness.dataflow import LivenessSets
+from repro.liveness.bitsets import BitLivenessSets
 
 
 def _counter_variables(function: Function) -> Set[Variable]:
@@ -44,7 +49,7 @@ def construct_ssa(function: Function) -> Function:
 
     domtree = DominatorTree(function)
     frontiers = dominance_frontiers(function, domtree)
-    liveness = LivenessSets(function)
+    liveness = BitLivenessSets(function)
     counters = _counter_variables(function)
 
     # ------------------------------------------------------------------ defs
@@ -67,8 +72,8 @@ def construct_ssa(function: Function) -> Function:
     for var in zero_inits:
         entry_block.body.insert(0, Op(var, "const", [Constant(0)]))
         def_blocks.setdefault(var, set()).add(entry_block.label)
-    if zero_inits:
-        liveness = LivenessSets(function)  # recompute with the new defs
+    if zero_inits and function.predecessors(entry_block.label):
+        liveness = BitLivenessSets(function)  # the entry's live-in can reach a join
 
     # ------------------------------------------------------------ φ placement
     phis_for: Dict[str, Dict[Variable, Phi]] = {label: {} for label in function.blocks}

@@ -300,7 +300,7 @@ class TestLiveCheckInvalidation:
         assert len(cached_before) - len(set(checker._live_in_blocks) & cached_before) <= 1
         self._assert_matches_fresh(checker, function)
 
-    def test_split_edges_rebuild_reachability_and_drop_crossing_walks(self):
+    def test_split_edges_drop_crossing_walks(self):
         function = diamond_function()
         checker = self._checker(function)
         for var in function.variables():
@@ -309,7 +309,6 @@ class TestLiveCheckInvalidation:
         new_block = function.split_edge("entry", "left")
         log.block_split("entry", "left", new_block.label)
         checker.apply_edits(log)
-        assert new_block.label in checker._labels
         self._assert_matches_fresh(checker, function)
 
     def test_pipeline_patches_the_checker_through_materialization(self):

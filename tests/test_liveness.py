@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.bench.corpus import CorpusSpec, generate_stress_cfg
+from repro.cfg.scc import strongly_connected_components
+from repro.ir.editlog import EditLog
 from repro.ir.instructions import Variable
 from repro.ir.positions import terminator_index
 from repro.liveness.bitsets import BitLivenessSets
@@ -9,11 +12,26 @@ from repro.liveness.dataflow import LivenessSets
 from repro.liveness.intersection import IntersectionOracle, live_ranges_intersect
 from repro.liveness.livecheck import LivenessChecker
 from repro.gallery import figure1_branch_use, figure3_swap_problem, figure4_lost_copy_problem
+from repro.ssa.construction import construct_ssa
 from tests.helpers import diamond_function, generated_programs, loop_function
 
 
 def v(name: str) -> Variable:
     return Variable(name)
+
+
+def irreducible_ssa_function():
+    """A small stress-corpus function in SSA form with a multi-entry loop."""
+    spec = CorpusSpec(seed=3, blocks=60, loop_depth=3, variables=5, irreducible=0.5)
+    function = construct_ssa(generate_stress_cfg(spec))
+    assert any(
+        sum(
+            any(pred not in component for pred in function.predecessors(label))
+            for label in component
+        ) > 1
+        for component in strongly_connected_components(function)
+    ), "expected an irreducible (multi-entry) loop"
+    return function
 
 
 class TestLivenessSets:
@@ -172,12 +190,28 @@ class TestLivenessChecker:
                     assert sets.is_live_in(block, var) == checker.is_live_in(block, var)
                     assert sets.is_live_out(block, var) == checker.is_live_out(block, var)
 
-    def test_reachability(self):
-        function = loop_function()
+    @pytest.mark.parametrize("maker", [loop_function, irreducible_ssa_function])
+    def test_matches_dataflow_sets_after_block_splits(self, maker):
+        """Warm walk caches patched through ``BLOCK_SPLIT`` edits answer like
+        a cold ``LivenessSets`` of the split function."""
+        function = maker()
         checker = LivenessChecker(function)
-        assert checker.reaches("entry", "exit")
-        assert checker.reaches("body", "header")
-        assert not checker.reaches("exit", "entry")
+        for block in function.blocks:
+            for var in function.variables():
+                checker.is_live_in(block, var)
+                checker.is_live_out(block, var)
+        log = EditLog()
+        joins = [label for label in function.blocks if len(function.predecessors(label)) > 1]
+        for target in joins:
+            for source in list(function.predecessors(target)):
+                log.block_split(source, target, function.split_edge(source, target).label)
+        assert len(log.new_blocks) >= 2
+        checker.apply_edits(log)
+        sets = LivenessSets(function)
+        for block in function.blocks:
+            for var in function.variables():
+                assert sets.is_live_in(block, var) == checker.is_live_in(block, var), (block, var)
+                assert sets.is_live_out(block, var) == checker.is_live_out(block, var), (block, var)
 
     def test_cfg_only_footprint(self):
         function = loop_function()
