@@ -19,7 +19,7 @@ def _config(linear: bool) -> EngineConfig:
         label="ablation",
         coalescing="value",
         liveness="check",
-        use_interference_graph=False,
+        interference="query",
         linear_class_check=linear,
     )
 

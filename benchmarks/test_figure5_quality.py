@@ -21,7 +21,7 @@ from repro.outofssa.driver import EngineConfig, destruct_ssa
 def _variant_config(name: str) -> EngineConfig:
     return EngineConfig(
         name=f"fig5_{name}", label=name, coalescing=name,
-        liveness="check", use_interference_graph=False, linear_class_check=False,
+        liveness="check", interference="query", linear_class_check=False,
     )
 
 

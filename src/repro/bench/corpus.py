@@ -1,10 +1,10 @@
-"""Scalable random-CFG stress corpus and the liveness stress experiment.
+"""Scalable random-CFG stress corpus.
 
 The synthetic SPEC stand-in (:mod:`repro.bench.suite`) is sized for whole
-out-of-SSA translations — dozens of blocks per function.  The liveness
-subsystem, however, claims to scale ("as fast as the hardware allows") and
-its three solving strategies only separate on CFGs far past the hand-built
-gallery: thousands of blocks, loops nested many levels deep, dozens of live
+out-of-SSA translations — dozens of blocks per function.  The liveness and
+interference subsystems, however, claim to scale ("as fast as the hardware
+allows"), which only shows on CFGs far past the hand-built gallery:
+thousands of blocks, loops nested many levels deep, dozens of live
 variables.  This module generates exactly those *functions-as-graphs*:
 
 * :func:`generate_stress_cfg` — a deterministic (seeded) structured random
@@ -13,40 +13,29 @@ variables.  This module generates exactly those *functions-as-graphs*:
   ``variables`` (the pressure knob).  The construction is budget-driven, so
   ``blocks=5000`` really produces ≈5000 blocks.  With ``irreducible > 0``
   some loops gain a second entry (a dispatch block branching both to the
-  header and into the middle of the body) — the multi-entry regions where
-  reverse post-order has no good visit order and condensation-ordered SCC
-  seeding must win outright.
+  header and into the middle of the body) — multi-entry regions where
+  reverse post-order has no good visit order.
 * :func:`random_edit_batch` — a materialization-shaped batch of structural
   edits (copies inserted, edges split, localized renames) applied to the
   function *and* described as an :class:`~repro.ir.editlog.EditLog`, the way
   the isolation/materialization passes describe their own edits.
-* :func:`run_stress` — the experiment behind ``repro stress`` and
-  ``benchmarks/test_stress_scale.py``: cold RPO-seeded solve vs cold
-  SCC-seeded solve vs incremental re-solve after the edit batch, with the
-  bit-identity of all three checked on every run.
-* :func:`run_interference_stress` — the companion experiment for the
-  ``incremental`` interference backend: the warm matrix patched from the
-  same edit batch vs a cold bit-set liveness solve plus matrix rebuild,
-  with row-for-row matrix identity checked on every run.
+* :func:`scaled_specs` — the standard 1k–10k-block ladder behind
+  ``repro stress`` and the cold-latency / verify-overhead benchmarks.
 
 Everything is driven by a seeded :class:`random.Random`; the same spec
-always yields the same function, edits, and convergence counts.
+always yields the same function and edits.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.ir.block import BasicBlock
 from repro.ir.editlog import EditLog
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Constant, Copy, Jump, Op, Return, Variable
-from repro.liveness.bitsets import BitLivenessSets
-from repro.liveness.flatcore import FlatBitLiveness, FlatIncrementalBitLiveness
-from repro.liveness.incremental import IncrementalBitLiveness
 
 _OPCODES = ("add", "sub", "mul", "and", "or", "xor", "min", "max")
 
@@ -75,8 +64,7 @@ class CorpusSpec:
     #: branching both to the header and into the middle of the body), making
     #: it a multi-entry — irreducible — region.  Reverse post-order has no
     #: good answer for such regions (there is no single header to visit
-    #: first), which is exactly where condensation-ordered SCC seeding should
-    #: beat RPO seeding on block evaluations, not just tie it.
+    #: first), so they stress the liveness worklist hardest.
     irreducible: float = 0.0
 
     def describe(self) -> str:
@@ -366,214 +354,7 @@ def random_edit_batch(
     return log
 
 
-# --------------------------------------------------------------------------- experiment
-@dataclass
-class StressRow:
-    """Measurements for one corpus spec (times are best-of-``repeats``)."""
-
-    spec: CorpusSpec
-    blocks: int = 0
-    edits: int = 0
-    cold_rpo_seconds: float = 0.0
-    cold_scc_seconds: float = 0.0
-    incremental_seconds: float = 0.0
-    rpo_iterations: int = 0
-    scc_iterations: int = 0
-    incremental_iterations: int = 0
-    seeded_blocks: int = 0
-
-    @property
-    def speedup_incremental(self) -> float:
-        """Cold (RPO) full solve over incremental re-solve, on the edited CFG."""
-        if not self.incremental_seconds:
-            return 0.0
-        return self.cold_rpo_seconds / self.incremental_seconds
-
-
-def _rows_by_name(oracle: BitLivenessSets) -> Dict[str, Set[str]]:
-    decoded: Dict[str, Set[str]] = {}
-    for label in oracle.function.blocks:
-        decoded[f"in:{label}"] = {str(v) for v in oracle.live_in_variables(label)}
-        decoded[f"out:{label}"] = {str(v) for v in oracle.live_out_variables(label)}
-    return decoded
-
-
-def run_stress(
-    specs: Sequence[CorpusSpec],
-    repeats: int = 3,
-    edit_seed: int = 1,
-    check_identical: bool = True,
-    core: str = "flat",
-) -> List[StressRow]:
-    """Run the three-way liveness comparison over every spec.
-
-    Each repeat regenerates the *same* function and applies the *same* edit
-    batch (generation and the batch are deterministic under their seeds), so
-    best-of-repeats timings all describe one program and the ratio between
-    them is meaningful.  A repeat warms an incremental solver, applies the
-    batch, and measures:
-
-    * cold RPO-seeded solve of the *edited* function (the recompute a
-      non-incremental pipeline would pay),
-    * cold SCC-seeded solve of the same,
-    * the incremental re-solve (``apply_edits``) patching the warm rows.
-
-    ``core`` picks the solver classes: ``"flat"`` (the engine default) runs
-    the cold solves over a privately lowered :class:`~repro.ir.flat.FlatFunction`
-    arena — each cold time *includes* that lowering, and the SCC seeding
-    reuses the arena's edge table for its Tarjan walk, so condensation
-    ordering no longer taxes the cold solve; ``"objects"`` keeps the
-    original object-graph walks.  Convergence counts are identical between
-    the cores (the property suite diffs them row-for-row).
-
-    With ``check_identical`` (the default) every repeat asserts that all
-    three agree row-for-row on every block.
-    """
-    if core == "flat":
-        cold_class, warm_class = FlatBitLiveness, FlatIncrementalBitLiveness
-    else:
-        cold_class, warm_class = BitLivenessSets, IncrementalBitLiveness
-    rows: List[StressRow] = []
-    for spec in specs:
-        row = StressRow(spec=spec)
-        best_rpo = best_scc = best_inc = None
-        for repeat in range(max(1, repeats)):
-            function = generate_stress_cfg(spec)
-            warm = warm_class(function)
-            log = random_edit_batch(function, seed=edit_seed)
-
-            began = time.perf_counter()
-            delta = warm.apply_edits(log)
-            inc_seconds = time.perf_counter() - began
-
-            began = time.perf_counter()
-            cold_rpo = cold_class(function, seed="rpo")
-            rpo_seconds = time.perf_counter() - began
-
-            began = time.perf_counter()
-            cold_scc = cold_class(function, seed="scc")
-            scc_seconds = time.perf_counter() - began
-
-            if check_identical:
-                warm_rows = _rows_by_name(warm)
-                if not (warm_rows == _rows_by_name(cold_rpo) == _rows_by_name(cold_scc)):
-                    raise AssertionError(
-                        f"liveness rows diverged on {spec.describe()} (repeat {repeat})"
-                    )
-
-            best_rpo = rpo_seconds if best_rpo is None else min(best_rpo, rpo_seconds)
-            best_scc = scc_seconds if best_scc is None else min(best_scc, scc_seconds)
-            best_inc = inc_seconds if best_inc is None else min(best_inc, inc_seconds)
-            row.blocks = len(function.blocks)
-            row.edits = len(log)
-            row.rpo_iterations = cold_rpo.solver_iterations
-            row.scc_iterations = cold_scc.solver_iterations
-            row.incremental_iterations = delta.iterations
-            row.seeded_blocks = delta.seeded_blocks
-        row.cold_rpo_seconds = best_rpo or 0.0
-        row.cold_scc_seconds = best_scc or 0.0
-        row.incremental_seconds = best_inc or 0.0
-        rows.append(row)
-    return rows
-
-
-# --------------------------------------------------------------------------- interference
-@dataclass
-class InterferenceStressRow:
-    """Incremental interference matrix vs cold rebuild on one corpus spec."""
-
-    spec: CorpusSpec
-    blocks: int = 0
-    universe: int = 0           #: matrix universe size (variables)
-    edits: int = 0
-    cold_seconds: float = 0.0          #: cold liveness solve + cold matrix build
-    incremental_seconds: float = 0.0   #: liveness patch + matrix patch
-    matrix_bytes: int = 0
-    dirty_blocks: int = 0              #: blocks the incremental scan re-visited
-
-    @property
-    def speedup(self) -> float:
-        """Cold full rebuild over incremental patch, on the edited CFG."""
-        if not self.incremental_seconds:
-            return 0.0
-        return self.cold_seconds / self.incremental_seconds
-
-
-def run_interference_stress(
-    specs: Sequence[CorpusSpec],
-    repeats: int = 3,
-    edit_seed: int = 1,
-    check_identical: bool = True,
-) -> List[InterferenceStressRow]:
-    """Incremental interference-matrix maintenance vs cold rebuilds.
-
-    Per repeat: generate the spec's CFG, warm an incremental liveness and an
-    incremental interference matrix over the full variable universe (the
-    intersection notion — the stress corpus is not SSA, so the scan-based
-    construction is the well-defined one), apply the materialization-shaped
-    edit batch, and measure
-
-    * the incremental path — ``apply_edits`` on the liveness rows then on the
-      matrix (what a pipeline pass pays), against
-    * the cold path — a fresh bit-set liveness solve of the edited function
-      plus a fresh matrix build over the *same* universe ordering.
-
-    With ``check_identical`` every repeat asserts the patched matrix is
-    bit-identical (row for row, same slot assignment) to the cold rebuild.
-    """
-    from repro.interference.base import InterferenceKind
-    from repro.interference.graph import IncrementalMatrixInterference, MatrixInterference
-    from repro.liveness.intersection import IntersectionOracle
-
-    rows: List[InterferenceStressRow] = []
-    for spec in specs:
-        row = InterferenceStressRow(spec=spec)
-        best_cold = best_inc = None
-        for repeat in range(max(1, repeats)):
-            function = generate_stress_cfg(spec)
-            warm_live = IncrementalBitLiveness(function)
-            warm = IncrementalMatrixInterference(
-                function,
-                IntersectionOracle(function, warm_live),
-                InterferenceKind.INTERSECT,
-            )
-            log = random_edit_batch(function, seed=edit_seed)
-
-            began = time.perf_counter()
-            warm_live.apply_edits(log)
-            delta = warm.apply_edits(log)
-            inc_seconds = time.perf_counter() - began
-
-            # Cold rebuild over the warm matrix's exact universe ordering, so
-            # slot assignments coincide and rows compare bit-for-bit.
-            began = time.perf_counter()
-            cold_live = BitLivenessSets(function)
-            cold = MatrixInterference(
-                function,
-                IntersectionOracle(function, cold_live),
-                InterferenceKind.INTERSECT,
-                universe=warm.graph.variables(),
-            )
-            cold_seconds = time.perf_counter() - began
-
-            if check_identical and warm.graph.row_bits() != cold.graph.row_bits():
-                raise AssertionError(
-                    f"interference rows diverged on {spec.describe()} (repeat {repeat})"
-                )
-
-            best_cold = cold_seconds if best_cold is None else min(best_cold, cold_seconds)
-            best_inc = inc_seconds if best_inc is None else min(best_inc, inc_seconds)
-            row.blocks = len(function.blocks)
-            row.universe = len(warm.graph)
-            row.edits = len(log)
-            row.matrix_bytes = warm.matrix_bytes()
-            row.dirty_blocks = delta.dirty_blocks
-        row.cold_seconds = best_cold or 0.0
-        row.incremental_seconds = best_inc or 0.0
-        rows.append(row)
-    return rows
-
-
+# --------------------------------------------------------------------------- ladder
 def scaled_specs(
     sizes: Sequence[int],
     scale: float = 1.0,

@@ -37,7 +37,7 @@ def _figure5_engine(variant: CoalescingVariant) -> EngineConfig:
         .label(variant.label)
         .coalescing(variant.name)
         .liveness("check")
-        .interference_graph(False)
+        .interference("query")
         .linear_class_check(False)
         .build()
     )

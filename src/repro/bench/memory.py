@@ -58,7 +58,9 @@ def footprint_of(result: OutOfSSAResult) -> MemoryFootprint:
     stats = result.stats
     config: EngineConfig = result.config
 
-    evaluated_graph = _bitmatrix_bytes(stats.candidate_variables) if config.use_interference_graph else 0
+    evaluated_graph = (
+        _bitmatrix_bytes(stats.candidate_variables) if config.interference == "matrix" else 0
+    )
     if config.liveness in ("sets", "bitsets"):
         # Both set-based backends evaluate to the same two closed forms; with
         # the "bitsets" backend the bit-set formula is additionally *measured*

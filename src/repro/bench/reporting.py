@@ -112,34 +112,6 @@ def format_figure7(rows: List[Figure7Row]) -> str:
     return _format_table(headers, table_rows)
 
 
-def format_stress(rows) -> str:
-    """The stress-scale experiment: cold RPO vs cold SCC vs incremental.
-
-    One line per corpus size; times are best-of-repeats, ``iters`` counts
-    block evaluations until the fixpoint, and ``speedup`` is the cold full
-    solve over the incremental re-solve on the same edited function.
-    """
-    headers = [
-        "blocks", "edits", "cold rpo (ms)", "cold scc (ms)", "incremental (ms)",
-        "speedup", "iters rpo", "iters scc", "iters inc", "seeded",
-    ]
-    table_rows = []
-    for row in rows:
-        table_rows.append([
-            str(row.blocks),
-            str(row.edits),
-            f"{row.cold_rpo_seconds * 1e3:.2f}",
-            f"{row.cold_scc_seconds * 1e3:.2f}",
-            f"{row.incremental_seconds * 1e3:.3f}",
-            f"{row.speedup_incremental:.1f}x",
-            str(row.rpo_iterations),
-            str(row.scc_iterations),
-            str(row.incremental_iterations),
-            str(row.seeded_blocks),
-        ])
-    return _format_table(headers, table_rows)
-
-
 def format_cold_latency(rows) -> str:
     """The cold-latency experiment: flat arena core vs objects core.
 
@@ -223,34 +195,6 @@ def format_service_concurrency(rows) -> str:
             f"{row.p99_ms:.2f}" if row.p99_ms else "-",
             f"{row.queue_peak:.0f}" if row.queue_peak else "-",
             f"{row.speedup_vs_blocking:.1f}x",
-        ])
-    return _format_table(headers, table_rows)
-
-
-def format_interference_stress(rows) -> str:
-    """The interference stress experiment: cold matrix rebuild vs incremental.
-
-    One line per corpus size; times are best-of-repeats.  ``cold`` is a fresh
-    bit-set liveness solve plus a fresh matrix build of the edited function,
-    ``incremental`` is the two ``apply_edits`` patches over the warm
-    structures, ``dirty`` counts the blocks the incremental scan re-visited
-    (out of ``blocks``), and ``matrix`` is the measured half-matrix size.
-    """
-    headers = [
-        "blocks", "universe", "edits", "cold (ms)", "incremental (ms)",
-        "speedup", "dirty", "matrix (KiB)",
-    ]
-    table_rows = []
-    for row in rows:
-        table_rows.append([
-            str(row.blocks),
-            str(row.universe),
-            str(row.edits),
-            f"{row.cold_seconds * 1e3:.2f}",
-            f"{row.incremental_seconds * 1e3:.3f}",
-            f"{row.speedup:.1f}x",
-            str(row.dirty_blocks),
-            str(row.matrix_bytes // 1024),
         ])
     return _format_table(headers, table_rows)
 

@@ -3,11 +3,6 @@
 from repro.cfg.traversal import depth_first_order, reverse_postorder, postorder, reachable_blocks
 from repro.cfg.dominance import DominatorTree, dominance_frontiers
 from repro.cfg.loops import LoopInfo, natural_loops, loop_nesting_depths
-from repro.cfg.scc import (
-    condensation_order,
-    scc_block_order,
-    strongly_connected_components,
-)
 from repro.cfg.frequency import estimate_block_frequencies
 from repro.cfg.critical_edges import critical_edges, split_critical_edges
 
@@ -22,9 +17,6 @@ __all__ = [
     "natural_loops",
     "loop_nesting_depths",
     "estimate_block_frequencies",
-    "strongly_connected_components",
-    "condensation_order",
-    "scc_block_order",
     "critical_edges",
     "split_critical_edges",
 ]

@@ -14,10 +14,8 @@ Commands
     Regenerate one of the paper's figures (5, 6 or 7) on the synthetic suite
     (batched through :class:`~repro.pipeline.Session`).
 ``stress``
-    Run the stress-scale experiments on the deterministic random-CFG corpus:
-    liveness (cold RPO / cold SCC / incremental re-solve) and/or the
-    incremental interference matrix vs cold rebuilds
-    (``--experiment {liveness,interference,both}``).
+    Translate the deterministic random-CFG stress corpus in checked mode and
+    report diagnostic counts plus checker overhead (``--verify {fast,full}``).
 ``serve``
     Run the translation daemon: a sharded scheduler with content-addressed
     warm caches behind a newline-delimited-JSON socket (see docs/SERVICE.md).
@@ -41,28 +39,23 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.bench.corpus import (
-    STANDARD_SIZES,
-    run_interference_stress,
-    run_stress,
-    scaled_specs,
-)
+from repro.bench.corpus import STANDARD_SIZES, scaled_specs
 from repro.bench.harness import (
     run_figure5,
     run_figure6,
     run_figure7,
     run_service_concurrency,
     run_service_throughput,
+    run_verify_stress,
 )
 from repro.bench.metrics import copy_counts
 from repro.bench.reporting import (
     format_figure5,
     format_figure6,
     format_figure7,
-    format_interference_stress,
     format_service_concurrency,
     format_service_throughput,
-    format_stress,
+    format_verify_stress,
 )
 from repro.bench.suite import SUITE, build_suite
 from repro.coalescing.variants import VARIANTS
@@ -291,7 +284,7 @@ def command_stress(args: argparse.Namespace) -> int:
     )
     profiler = None
     if args.profile:
-        # Profile exactly the experiment loops (corpus generation included —
+        # Profile exactly the experiment loop (corpus generation included —
         # it is part of what a cold run pays), not the argument parsing or
         # the report formatting; see docs/ARCHITECTURE.md ("Profiling").
         import cProfile
@@ -299,24 +292,9 @@ def command_stress(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     try:
-        tables = []
-        if args.experiment in ("liveness", "both"):
-            tables.append(format_stress(run_stress(specs, repeats=args.repeats)))
-        if args.experiment in ("interference", "both"):
-            tables.append(
-                format_interference_stress(
-                    run_interference_stress(specs, repeats=args.repeats)
-                )
-            )
-        if args.verify != "off":
-            from repro.bench.harness import run_verify_stress
-            from repro.bench.reporting import format_verify_stress
-
-            tables.append(
-                format_verify_stress(
-                    run_verify_stress(specs, level=args.verify, engine=args.engine)
-                )
-            )
+        table = format_verify_stress(
+            run_verify_stress(specs, level=args.verify, engine=args.engine)
+        )
     finally:
         if profiler is not None:
             profiler.disable()
@@ -326,7 +304,6 @@ def command_stress(args: argparse.Namespace) -> int:
                 f"(inspect: python -m pstats {args.profile})",
                 file=sys.stderr,
             )
-    table = "\n\n".join(tables)
     print(table)
     if args.output:
         with open(args.output, "w") as handle:
@@ -539,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     translate.add_argument("--interference", default=None,
                            choices=sorted(INTERFERENCE_BACKENDS),
                            help="interference backend (see 'repro list'): eager bit-matrix, "
-                                "on-the-fly queries, or the incrementally patched matrix "
-                                "(overrides the engine's backend)")
+                                "or on-the-fly queries (overrides the engine's backend)")
     translate.add_argument("--core", default=None, choices=sorted(CORE_BACKENDS),
                            help="IR core driving the hot sweeps (see 'repro list'): the "
                                 "flat int-array arena (default) or the object-graph "
@@ -598,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stress = sub.add_parser(
         "stress",
-        help="liveness stress-scale experiment on the random-CFG corpus",
+        help="checked-translation stress lane on the random-CFG corpus",
     )
     stress.add_argument("--blocks", default=",".join(str(s) for s in STANDARD_SIZES),
                         help="comma-separated corpus sizes in basic blocks")
@@ -610,16 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-region working-set size (variable pressure)")
     stress.add_argument("--irreducible", type=float, default=0.0,
                         help="probability of a second (irreducible) loop entry")
-    stress.add_argument("--experiment", default="liveness",
-                        choices=("liveness", "interference", "both"),
-                        help="which incremental subsystem to stress")
-    stress.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats (best-of)")
-    stress.add_argument("--verify", default="off", choices=("off", "fast", "full"),
-                        help="also translate the corpus in checked mode and report "
-                             "diagnostic counts plus checker overhead")
+    stress.add_argument("--verify", default="fast", choices=("fast", "full"),
+                        help="verification level of the checked translations "
+                             "(reports diagnostic counts plus checker overhead)")
     stress.add_argument("--engine", default="us_i_linear_intercheck_livecheck",
-                        help="engine configuration for the --verify table")
+                        help="engine configuration to translate the corpus with")
     stress.add_argument("--output", default=None,
                         help="also write the table to this file")
     stress.add_argument("--profile", default=None, metavar="OUT.prof",

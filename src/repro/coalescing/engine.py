@@ -20,7 +20,7 @@ Interference reaches the coalescer through the
 :class:`~repro.interference.congruence.CongruenceClasses` it drives, which
 are wired to one pluggable
 :class:`~repro.interference.base.InterferenceOracle` backend (``matrix`` /
-``query`` / ``incremental``): the loop itself never sees a concrete graph or
+``query``): the loop itself never sees a concrete graph or
 query object, so every backend coalesces through the identical code path —
 the bit-identity guarantee the property suite checks.
 """

@@ -1,10 +1,9 @@
 """Interference: the pluggable backend stack, graph representation, congruence classes.
 
 The stack mirrors the liveness one: one protocol
-(:class:`~repro.interference.base.InterferenceOracle`), three backends —
-``query`` (pairwise dominance/value queries, the paper's contribution),
-``matrix`` (eager half bit-matrix) and ``incremental`` (the matrix kept valid
-across pass-emitted edit logs) — selected per engine via
+(:class:`~repro.interference.base.InterferenceOracle`), two backends —
+``query`` (pairwise dominance/value queries, the paper's contribution) and
+``matrix`` (eager half bit-matrix) — selected per engine via
 ``EngineConfig.interference`` / CLI ``--interference``.
 """
 
@@ -13,9 +12,8 @@ from repro.interference.base import (
     InterferenceOracle,
     QueryInterference,
 )
-from repro.interference.definitions import InterferenceTest, make_interference_test
+from repro.interference.definitions import make_interference_test
 from repro.interference.graph import (
-    IncrementalMatrixInterference,
     InterferenceGraph,
     MatrixInterference,
     scan_interference_edges,
@@ -27,8 +25,6 @@ __all__ = [
     "InterferenceOracle",
     "QueryInterference",
     "MatrixInterference",
-    "IncrementalMatrixInterference",
-    "InterferenceTest",
     "make_interference_test",
     "InterferenceGraph",
     "scan_interference_edges",

@@ -8,14 +8,12 @@ exactly the situation the liveness layer already handles with its pluggable
 oracle stack.  This module gives interference the same treatment:
 
 :class:`InterferenceOracle`
-    The protocol every backend implements.  It subsumes the historical
-    ``InterferenceTest`` surface (``interferes`` / ``same_value`` /
-    ``intersects`` under one of the three :class:`InterferenceKind` notions)
-    and adds the congruence-facing helpers (``intersect``, ``dominates``,
-    ``dominance_order_key``), a maintenance hook (:meth:`apply_edits`, fed by
-    the same :class:`~repro.ir.editlog.EditLog`\\ s the incremental liveness
-    backend consumes) and the class-row support surface the congruence layer
-    uses to merge interference rows on coalesces.
+    The protocol every backend implements: the pairwise test (``interferes``
+    / ``same_value`` / ``intersects`` under one of the three
+    :class:`InterferenceKind` notions), the congruence-facing helpers
+    (``intersect``, ``dominates``, ``dominance_order_key``) and the class-row
+    support surface the congruence layer uses to merge interference rows on
+    coalesces.
 
 :class:`QueryInterference`
     The ``query`` backend — the paper's contribution: no materialised graph,
@@ -24,9 +22,8 @@ oracle stack.  This module gives interference the same treatment:
     backend registry and the :class:`~repro.pipeline.analysis.AnalysisCache`
     can key it distinctly.
 
-The ``matrix`` and ``incremental`` backends (eager half bit-matrix; the same
-matrix kept valid across pass edits) live in :mod:`repro.interference.graph`
-next to the matrix representation they share.
+The ``matrix`` backend (eager half bit-matrix) lives in
+:mod:`repro.interference.graph` next to the matrix representation.
 """
 
 from __future__ import annotations
@@ -68,16 +65,14 @@ class InterferenceOracle:
 
     ``query``   — nowhere: recomputed per query (this class);
     ``matrix``  — an eager half bit-matrix over a restricted universe,
-                  non-universe pairs fall back to the query path;
-    ``incremental`` — the same matrix, kept valid across structural edits by
-                  consuming pass-emitted :class:`~repro.ir.editlog.EditLog`\\ s.
+                  non-universe pairs fall back to the query path.
     """
 
     #: Registry name of the backend (``EngineConfig.interference``).
     backend_name = "query"
     #: Whether the congruence layer may keep per-class adjacency rows (bit
     #: masks over matrix slots, merged on coalesces) for O(words) class
-    #: checks; only the matrix-backed backends can.
+    #: checks; only the matrix backend can.
     supports_class_rows = False
 
     def __init__(self, function, oracle, kind: InterferenceKind, values=None) -> None:
@@ -155,31 +150,6 @@ class InterferenceOracle:
     def adjacency_bits(self, var) -> int:
         """Symmetric adjacency row of ``var`` as a bit mask over matrix slots."""
         return 0
-
-    # -- maintenance ---------------------------------------------------------------
-    def apply_edits(self, log) -> None:
-        """Keep the backend valid after the structural edits ``log`` records.
-
-        Contract (shared with :class:`~repro.liveness.incremental.IncrementalBitLiveness`):
-        the underlying liveness oracle has **already** been patched (or
-        rebuilt) for the same log when this is called.  The query backend
-        stores no verdicts, so it only refreshes the intersection oracle's
-        memoized dominance state: an edit that changed the CFG itself (a
-        split edge, a new block) drops the lazily built dominator tree and
-        every ≺ key — the preorder shifted under all of them — while a pure
-        instruction edit drops only the affected variables' keys.  The matrix
-        backends additionally patch their rows (see
-        :class:`~repro.interference.graph.IncrementalMatrixInterference`).
-        """
-        from repro.ir.editlog import BLOCK_SPLIT  # local: keep base.py IR-free
-
-        cfg_changed = bool(log.new_blocks) or any(
-            edit.kind == BLOCK_SPLIT for edit in log
-        )
-        if cfg_changed:
-            self.oracle.invalidate_structure()
-        else:
-            self.oracle.invalidate_keys(log.affected_variables())
 
     # -- accounting ----------------------------------------------------------------
     def matrix_bytes(self) -> int:

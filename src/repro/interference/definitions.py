@@ -1,17 +1,11 @@
 """The three interference definitions compared in the paper (§III-A, §III-E).
 
-Since the backend refactor the notions (:class:`InterferenceKind`) and the
-pairwise test machinery live in :mod:`repro.interference.base`, where they
-are shared by every backend of the pluggable stack (``matrix`` / ``query`` /
-``incremental``).  This module keeps the historical names:
-
-* :class:`InterferenceTest` — the original name of what is now the ``query``
-  backend (:class:`~repro.interference.base.QueryInterference`); kept as a
-  subclass so existing constructions, imports and ``isinstance`` checks keep
-  working unchanged;
-* :func:`make_interference_test` — convenience constructor that builds the
-  :class:`~repro.ssa.values.ValueTable` when value-based interference asks
-  for one.
+The notions (:class:`InterferenceKind`) and the pairwise test machinery live
+in :mod:`repro.interference.base`, where they are shared by every backend of
+the pluggable stack (``matrix`` / ``query``).  This module keeps
+:func:`make_interference_test`, a convenience constructor for the ``query``
+backend that builds the :class:`~repro.ssa.values.ValueTable` when
+value-based interference asks for one.
 
 Every test is expressed on top of an
 :class:`~repro.liveness.intersection.IntersectionOracle`, so the same code
@@ -34,22 +28,13 @@ from repro.liveness.intersection import IntersectionOracle
 from repro.ssa.values import ValueTable
 
 
-class InterferenceTest(QueryInterference):
-    """Pairwise interference test between SSA variables (legacy name).
-
-    This is the ``query`` interference backend under its pre-refactor name;
-    see :class:`~repro.interference.base.InterferenceOracle` for the full
-    protocol surface it implements.
-    """
-
-
 def make_interference_test(
     function: Function,
     oracle: IntersectionOracle,
     kind: InterferenceKind = InterferenceKind.VALUE,
     values: Optional[ValueTable] = None,
-) -> InterferenceTest:
-    """Build an :class:`InterferenceTest`, creating the value table if needed."""
+) -> QueryInterference:
+    """Build a ``query`` backend, creating the value table if needed."""
     if kind is InterferenceKind.VALUE and values is None:
         values = ValueTable(function, oracle.domtree)
-    return InterferenceTest(function, oracle, kind, values)
+    return QueryInterference(function, oracle, kind, values)

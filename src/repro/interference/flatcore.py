@@ -24,15 +24,13 @@ Figure 7 stay untouched:
   rows) — no object in the inner loop;
 * :class:`FlatInterferenceGraph` maintains *symmetric* per-slot adjacency
   masks next to the half matrix, making ``adjacency_bits`` O(1).  The rows
-  are redundant with the matrix (the matrix stays authoritative for
-  ``row_bits`` / footprint) and every mutation keeps both in sync, so the
-  warm incremental path — inherited unchanged from
-  :class:`IncrementalMatrixInterference`, object scan and all — works on
-  the flat graph through the same ``add_edge`` / ``clear_variable`` API.
+  are redundant with the matrix (the matrix stays authoritative for the
+  footprint) and ``add_edge`` keeps both in sync.
 
-The scans are edge-for-edge identical to the object path (a property test
-diffs `row_bits` between the cores), so every counter the stats report —
-``matrix_hits``, ``pair_queries``, ``intersection_queries`` — agrees too.
+The scans are edge-for-edge identical to the object path (the cross-core
+property suite diffs every translation and stats counter), so every counter
+the stats report — ``matrix_hits``, ``pair_queries``,
+``intersection_queries`` — agrees too.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from typing import Iterable, List, Optional, Set
 
 from repro.interference.base import InterferenceKind
 from repro.interference.graph import (
-    IncrementalMatrixInterference,
     InterferenceGraph,
     MatrixInterference,
     scan_interference_edges,
@@ -62,8 +59,8 @@ class FlatInterferenceGraph(InterferenceGraph):
         numbering: Optional[VariableNumbering] = None,
     ) -> None:
         #: Per-slot symmetric adjacency masks (bit = slot).  Derived data:
-        #: the half matrix remains the authoritative store (footprint,
-        #: ``row_bits``); these rows only buy O(1) ``adjacency_bits``.
+        #: the half matrix remains the authoritative store (footprint);
+        #: these rows only buy O(1) ``adjacency_bits``.
         self._sym: List[int] = []
         super().__init__(universe, numbering=numbering)
 
@@ -87,19 +84,6 @@ class FlatInterferenceGraph(InterferenceGraph):
         if slot is None:
             return 0
         return self._sym[slot]
-
-    def clear_variable(self, var: Variable) -> None:
-        slot = self._slot(var)
-        if slot is None:
-            return
-        super().clear_variable(var)
-        row = self._sym[slot]
-        unset = ~(1 << slot)
-        while row:
-            low = row & -row
-            row ^= low
-            self._sym[low.bit_length() - 1] &= unset
-        self._sym[slot] = 0
 
 
 def scan_interference_edges_flat(
@@ -296,21 +280,5 @@ class FlatMatrixInterference(MatrixInterference):
         ):
             scan_interference_edges_flat(graph, flat, self, set(candidates))
         else:
-            scan_interference_edges(
-                graph, function, self, set(candidates), function.blocks
-            )
+            scan_interference_edges(graph, function, self, set(candidates))
         return graph
-
-
-class FlatIncrementalMatrixInterference(
-    FlatMatrixInterference, IncrementalMatrixInterference
-):
-    """The ``incremental`` matrix backend on the flat core.
-
-    The cold build comes from :class:`FlatMatrixInterference`; the warm
-    paths (``apply_edits`` / ``extend_universe``) are inherited from
-    :class:`IncrementalMatrixInterference` unchanged — they re-scan small
-    dirty regions through the object walk, writing into the flat graph via
-    the preserved ``add_edge`` interface (which keeps the symmetric rows in
-    sync), so patched results remain bit-identical to the objects core.
-    """

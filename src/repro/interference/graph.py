@@ -7,16 +7,10 @@ This module holds the memory side of the pluggable interference stack:
   an (extensible) universe of variables addressed through the shared
   :class:`~repro.liveness.numbering.VariableNumbering`;
 * :func:`scan_interference_edges` — the one-backward-scan-per-block
-  construction ("costly traversal of the program", §IV), shared between the
-  cold build and the incremental re-scan so both produce the same edges by
-  construction;
+  construction ("costly traversal of the program", §IV);
 * :class:`MatrixInterference` — the ``matrix`` backend: the graph is built
   eagerly at construction and answers every in-universe pair; pairs outside
-  the restricted universe fall back to the query path;
-* :class:`IncrementalMatrixInterference` — the ``incremental`` backend: the
-  same matrix kept valid across isolation / materialization by consuming the
-  :class:`~repro.ir.editlog.EditLog`\\ s those passes emit, re-scanning only
-  the dirty neighbourhood instead of the whole program.
+  the restricted universe fall back to the query path.
 
 The universe of indexed variables can be restricted (the paper restricts it
 to φ-related and copy-related variables) and grows dynamically when
@@ -25,8 +19,6 @@ virtualized copies are materialized, exactly like in Method III.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set
 
 from repro.interference.base import InterferenceKind, QueryInterference
@@ -129,12 +121,6 @@ class InterferenceGraph:
         slot = self._slot(var)
         return self._matrix.full_row(slot) if slot is not None else 0
 
-    def clear_variable(self, var: Variable) -> None:
-        """Drop every edge involving ``var`` (its slot is kept)."""
-        slot = self._slot(var)
-        if slot is not None:
-            self._matrix.clear_all(slot)
-
     def edge_count(self) -> int:
         return sum(
             1
@@ -142,12 +128,6 @@ class InterferenceGraph:
             for j in range(i)
             if self._matrix.test(i, j)
         )
-
-    def row_bits(self) -> List[int]:
-        """Raw half-matrix rows, one int mask per slot (for identity checks:
-        two graphs built over the *same* slot assignment are bit-identical
-        iff these lists are equal)."""
-        return self._matrix.row_bits()
 
     # -- memory accounting ----------------------------------------------------------------
     def footprint_bytes(self) -> int:
@@ -198,7 +178,7 @@ class InterferenceGraph:
         """
         candidates = list(universe) if universe is not None else function.variables()
         graph = cls(candidates, numbering=numbering)
-        scan_interference_edges(graph, function, test, set(candidates), function.blocks)
+        scan_interference_edges(graph, function, test, set(candidates))
         return graph
 
 
@@ -207,15 +187,11 @@ def scan_interference_edges(
     function: Function,
     test,
     in_universe: Set[Variable],
-    labels: Iterable[str],
 ) -> None:
-    """One backward scan per block of ``labels``, adding the discovered edges.
+    """One backward scan per block of ``function``, adding the discovered edges.
 
-    This is the shared construction primitive: the cold :meth:`InterferenceGraph.build`
-    runs it over every block, the incremental backend re-runs it over the
-    dirty neighbourhood of an edit batch.  Adding an edge is idempotent, so
-    re-scanning a block never corrupts the matrix — exactness only requires
-    that every block able to *originate* an edge of interest is scanned.
+    The object-graph construction primitive behind :meth:`InterferenceGraph.build`
+    (and the flat core's fallback when no current arena is available).
     """
     from repro.ir.instructions import Copy, ParallelCopy, Phi
     from repro.ir.positions import block_schedule  # local import, avoids cycles
@@ -256,8 +232,7 @@ def scan_interference_edges(
                     return src
         return None
 
-    for label in labels:
-        block = function.blocks[label]
+    for block in function.blocks.values():
         # Live universe variables at the end of the block.
         live = live_out_universe(block.label)
         for _index, instruction in reversed(block_schedule(block)):
@@ -343,9 +318,7 @@ class MatrixInterference(QueryInterference):
     ) -> InterferenceGraph:
         """Construct and populate the adjacency structure.  The flat core
         (:mod:`repro.interference.flatcore`) overrides this to scan the
-        `FlatFunction` arena instead of the object graph; everything else —
-        the incremental patch path included — runs over the returned graph
-        through the same ``add_edge`` / ``clear_variable`` interface."""
+        `FlatFunction` arena instead of the object graph."""
         return InterferenceGraph.build(
             function, self, universe=universe, numbering=numbering
         )
@@ -368,169 +341,3 @@ class MatrixInterference(QueryInterference):
     # -- accounting ----------------------------------------------------------------
     def matrix_bytes(self) -> int:
         return self.graph.footprint_bytes()
-
-
-@dataclass
-class MatrixResolveDelta:
-    """What one :meth:`IncrementalMatrixInterference.apply_edits` call did."""
-
-    edits: int              #: entries in the applied log
-    affected_variables: int  #: variables whose rows could gain edges
-    cleared_variables: int  #: rows restarted from zero (may have lost edges)
-    dirty_blocks: int       #: blocks the edge scan re-visited
-    seconds: float          #: wall-clock of the matrix patch itself
-
-
-class IncrementalMatrixInterference(MatrixInterference):
-    """The ``incremental`` backend: the bit-matrix kept valid across edits.
-
-    The mutating out-of-SSA passes describe what they did as an
-    :class:`~repro.ir.editlog.EditLog` (the very logs the incremental
-    liveness backend consumes); :meth:`apply_edits` patches the matrix from
-    them instead of rebuilding:
-
-    1. every *affected* variable joins the universe (pass edits only mention
-       φ-, copy- and rename-related names, which belong there by the paper's
-       own restriction);
-    2. rows of variables that may have *lost* an occurrence (the log's
-       ``removed`` set) are cleared — stale edges, like stale liveness around
-       a loop, would otherwise survive re-scanning;
-    3. the shared per-block scan re-runs over the **dirty neighbourhood**:
-       the touched blocks plus every block where an affected variable is
-       live-in, live-out or defined (queried in bulk from the patched bit-set
-       liveness rows).  All edges involving an affected variable originate in
-       that neighbourhood, and re-adding an unaffected edge is idempotent, so
-       the result is bit-identical to a cold rebuild of the edited function.
-
-    Requires the backing liveness to be a (patched)
-    :class:`~repro.liveness.bitsets.BitLivenessSets` — in the pipeline that is
-    the shared :class:`~repro.liveness.incremental.IncrementalBitLiveness`,
-    which must have consumed the same log *before* this backend does.
-
-    Value-notion caveat: re-scans refine edges through the backend's
-    :class:`~repro.ssa.values.ValueTable`, which is *not* incrementally
-    maintained.  Variables created after the table was built (renames,
-    sequentialization temporaries) compare as carrying their own value, so
-    post-materialization patches under the ``value`` notion are conservative
-    — at worst extra edges, never a missed interference.  The bit-identity
-    guarantee is stated against a cold rebuild over the *same* value table
-    (what the stress experiment and the property suite check; the intersect
-    notion, which the stress corpus uses, has no table at all).
-    """
-
-    backend_name = "incremental"
-
-    def __init__(
-        self,
-        function: Function,
-        oracle,
-        kind: InterferenceKind,
-        values=None,
-        universe: Optional[Iterable[Variable]] = None,
-        numbering: Optional[VariableNumbering] = None,
-    ) -> None:
-        if not isinstance(oracle.liveness, BitLivenessSets):
-            raise ValueError(
-                "the incremental interference backend needs bit-set liveness "
-                f"rows to locate dirty blocks, not {type(oracle.liveness).__name__}"
-            )
-        super().__init__(function, oracle, kind, values, universe=universe, numbering=numbering)
-        #: Number of :meth:`apply_edits` patches served from the warm matrix.
-        self.resolve_count = 0
-        self.last_delta: Optional[MatrixResolveDelta] = None
-
-    # -- incremental re-scan -------------------------------------------------------
-    def _dirty_blocks(
-        self,
-        affected: List[Variable],
-        cleared: List[Variable],
-        touched: Set[str],
-    ) -> Set[str]:
-        """The blocks whose re-scan restores every edge the edits could change.
-
-        Three sources, each exact for its variable class:
-
-        * ``touched`` — blocks whose instruction lists changed (every new
-          occurrence, hence every new in-block liveness, lives here);
-        * the liveness patch's visited rows (``last_dirty_rows``) — a
-          superset of every block whose boundary liveness changed, which
-          bounds the new edges of *grow-only* affected variables (their old
-          edges are still in the matrix); available only when the backing
-          rows are an :class:`~repro.liveness.incremental.IncrementalBitLiveness`
-          patched with the same log, otherwise the conservative fallback
-          re-scans every block mentioning an affected variable;
-        * every block mentioning a *cleared* variable — its row restarted
-          from zero, so all its edges must be rediscovered, changed or not.
-        """
-        blocks = self.function.blocks
-        dirty = {label for label in touched if label in blocks}
-        liveness: BitLivenessSets = self.oracle.liveness
-        changed_rows = getattr(liveness, "last_dirty_rows", None)
-        if changed_rows is None:
-            dirty |= liveness.blocks_touching(affected)
-        else:
-            dirty |= {label for label in changed_rows if label in blocks}
-            dirty |= liveness.blocks_touching(cleared)
-        if affected and any(var in self.function.params for var in affected):
-            # Parameter edges are discovered at the (virtual) entry definition.
-            if self.function.entry_label is not None:
-                dirty.add(self.function.entry_label)
-        return dirty
-
-    def apply_edits(self, log) -> MatrixResolveDelta:
-        """Patch the matrix for one edit log; the backing liveness rows must
-        already reflect the same log (the passes patch liveness first)."""
-        began = time.perf_counter()
-        super().apply_edits(log)   # drop the intersection oracle's stale ≺ keys
-        graph = self.graph
-        affected = list(log.affected_variables())
-        for var in affected:
-            graph.add_variable(var)
-        removed = [var for var in log.removed_variables() if var in graph]
-        for var in removed:
-            graph.clear_variable(var)
-        dirty = self._dirty_blocks(
-            affected, removed, log.touched_blocks() | set(log.new_blocks)
-        )
-        if dirty:
-            scan_interference_edges(
-                graph, self.function, self, set(graph.variables()), dirty
-            )
-        self.resolve_count += 1
-        delta = MatrixResolveDelta(
-            edits=len(log),
-            affected_variables=len(affected),
-            cleared_variables=len(removed),
-            dirty_blocks=len(dirty),
-            seconds=time.perf_counter() - began,
-        )
-        self.last_delta = delta
-        return delta
-
-    def extend_universe(self, variables: Iterable[Variable]) -> int:
-        """Add ``variables`` to the universe and scan in their edges.
-
-        Used on warm re-runs (JIT re-translation through one
-        :class:`~repro.pipeline.analysis.AnalysisCache`): the new run's
-        candidate universe may name variables the warm matrix has never seen;
-        their edges all originate in the blocks where they are live or
-        defined, so only that neighbourhood is scanned.  Returns the number
-        of variables actually added.
-        """
-        graph = self.graph
-        fresh = [var for var in variables if var not in graph]
-        for var in fresh:
-            graph.add_variable(var)
-        if fresh:
-            # Full discovery for the newcomers: every block mentioning them
-            # (their rows start empty, so changed-liveness bounds don't apply).
-            liveness: BitLivenessSets = self.oracle.liveness
-            dirty = liveness.blocks_touching(fresh)
-            if any(var in self.function.params for var in fresh):
-                if self.function.entry_label is not None:
-                    dirty.add(self.function.entry_label)
-            if dirty:
-                scan_interference_edges(
-                    graph, self.function, self, set(graph.variables()), dirty
-                )
-        return len(fresh)

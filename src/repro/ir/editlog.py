@@ -3,22 +3,24 @@
 The out-of-SSA transformation passes (φ-isolation, materialization) edit the
 program in small, local ways: parallel copies appear in a handful of blocks,
 an occasional critical edge is split, congruence classes are renamed to their
-representatives.  An :class:`EditLog` records those edits as data so that
-incremental analyses — today :class:`~repro.liveness.incremental.IncrementalBitLiveness`
-— can *patch* their result instead of recomputing it from scratch.
+representatives.  An :class:`EditLog` records those edits as data so that a
+cached analysis can *patch* itself instead of being rebuilt from scratch —
+today the liveness checker's per-variable caches
+(:meth:`~repro.liveness.livecheck.LivenessChecker.apply_edits`) and the flat
+arena (:meth:`~repro.ir.flat.FlatFunction.apply_edits`).
 
 An edit carries exactly the two facts a per-variable analysis needs:
 
 * ``touched_blocks`` — every block whose instruction list changed.  Cached
-  per-block summaries (def/use masks) for any *other* block remain exact.
+  per-block summaries (def/use rows) for any *other* block remain exact.
 * ``affected_variables`` — every variable whose def/use structure may have
   changed anywhere.  Facts about any *other* variable remain exact, because
-  liveness (and the other bit-row analyses) decompose per variable.
+  liveness decomposes per variable.
 
-The contract, relied on for bit-identical re-solves: **a block whose
-instructions mention an affected variable must be logged as touched** (a
-rename, for example, rewrites those instructions, and the pass logs each
-rewritten block).  Emission helpers live with the passes that mutate —
+The contract, relied on by every consumer: **a block whose instructions
+mention an affected variable must be logged as touched** (a rename, for
+example, rewrites those instructions, and the pass logs each rewritten
+block).  Emission helpers live with the passes that mutate —
 :meth:`repro.outofssa.method_i.PhiCopyInsertion.edit_log` and the
 materialization logger in :mod:`repro.pipeline.phases`.
 """
@@ -26,7 +28,7 @@ materialization logger in :mod:`repro.pipeline.phases`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.ir.instructions import Operand, Variable
 
@@ -39,20 +41,11 @@ VARIABLES_RENAMED = "variables_renamed"
 
 @dataclass(frozen=True)
 class CFGEdit:
-    """One structural edit: which blocks it touched, which variables it affects.
-
-    ``removed`` names the subset of ``variables`` that may have *lost* a def
-    or use somewhere.  The distinction matters to incremental consumers:
-    facts about a variable that only gained occurrences grow monotonically
-    from the existing fixpoint, while a variable that lost a use must restart
-    from nothing (stale facts around a loop are self-sustaining and would
-    survive re-iteration).
-    """
+    """One structural edit: which blocks it touched, which variables it affects."""
 
     kind: str
     blocks: Tuple[str, ...] = ()
     variables: Tuple[Variable, ...] = ()
-    removed: Tuple[Variable, ...] = ()
 
     def __repr__(self) -> str:
         blocks = ", ".join(self.blocks)
@@ -74,16 +67,9 @@ class EditLog:
         self.edits.append(edit)
 
     def copy_inserted(self, block: str, dst: Variable, src: Operand) -> None:
-        """A copy ``dst = src`` was inserted somewhere in ``block``.
-
-        ``src`` only gains a use (monotone).  ``dst`` gains a *kill point*,
-        which can shrink its upstream liveness when it already had other
-        occurrences, so it is classified as removed-from; for the fresh
-        destinations the out-of-SSA passes insert this costs nothing (a fresh
-        name has no stale bits to clear).
-        """
+        """A copy ``dst = src`` was inserted somewhere in ``block``."""
         variables = (dst, src) if isinstance(src, Variable) else (dst,)
-        self.record(CFGEdit(COPY_INSERTED, (block,), variables, removed=(dst,)))
+        self.record(CFGEdit(COPY_INSERTED, (block,), variables))
 
     def block_split(self, source: str, target: str, new_label: str) -> None:
         """The edge ``source -> target`` was split by inserting ``new_label``.
@@ -95,38 +81,18 @@ class EditLog:
         self.new_blocks.append(new_label)
         self.record(CFGEdit(BLOCK_SPLIT, (source, new_label, target)))
 
-    def block_rewritten(
-        self,
-        block: str,
-        variables: Iterable[Variable],
-        removed: Optional[Iterable[Variable]] = None,
-    ) -> None:
+    def block_rewritten(self, block: str, variables: Iterable[Variable]) -> None:
         """Instructions of ``block`` changed in place, involving ``variables``
-        (old and new names both, for a rename).  ``removed`` narrows which of
-        them may have lost occurrences; it defaults to all of them (a rewrite
-        may have deleted anything)."""
-        variables = tuple(variables)
-        self.record(
-            CFGEdit(
-                BLOCK_REWRITTEN,
-                (block,),
-                variables,
-                removed=variables if removed is None else tuple(removed),
-            )
-        )
+        (old and new names both, for a rename)."""
+        self.record(CFGEdit(BLOCK_REWRITTEN, (block,), tuple(variables)))
 
     def variables_renamed(self, mapping: Dict[Variable, Variable]) -> None:
         """A rename was applied; the rewritten blocks are logged separately
         (one :func:`block_rewritten` per block), this edit only widens the
-        affected-variable set with both sides of the mapping.  The old names
-        lost every occurrence; the new names only gained."""
-        olds = tuple(mapping)
-        news = tuple(mapping.values())
-        self.record(CFGEdit(VARIABLES_RENAMED, (), olds + news, removed=olds))
-
-    def extend(self, other: "EditLog") -> None:
-        self.edits.extend(other.edits)
-        self.new_blocks.extend(other.new_blocks)
+        affected-variable set with both sides of the mapping."""
+        self.record(
+            CFGEdit(VARIABLES_RENAMED, (), tuple(mapping) + tuple(mapping.values()))
+        )
 
     # -- consumption ----------------------------------------------------------
     def touched_blocks(self) -> Set[str]:
@@ -142,16 +108,6 @@ class EditLog:
         seen: Dict[Variable, None] = {}
         for edit in self.edits:
             for var in edit.variables:
-                seen.setdefault(var, None)
-        return list(seen)
-
-    def removed_variables(self) -> List[Variable]:
-        """The affected variables that may have *lost* a def or use (or gained
-        a kill point) — the ones whose cached facts cannot be grown
-        monotonically and must be recomputed from scratch."""
-        seen: Dict[Variable, None] = {}
-        for edit in self.edits:
-            for var in edit.removed:
                 seen.setdefault(var, None)
         return list(seen)
 

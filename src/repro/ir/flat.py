@@ -1,7 +1,7 @@
 """The flat arena IR core: contiguous int tables lowered once per function.
 
-Every hot sweep in the out-of-SSA stack — the bit-set liveness worklist, the
-SCC condensation walk, the interference edge scan — is a loop over the CFG
+Every hot sweep in the out-of-SSA stack — the bit-set liveness worklist and
+the interference edge scan — is a loop over the CFG
 and the def/use chains.  Walking the object graph (`Function` → `BasicBlock`
 → instruction objects, label-keyed dicts at every hop) makes each step of
 those loops a hash lookup plus attribute dereferences.  `FlatFunction`
@@ -25,8 +25,8 @@ over `array('l')` rows and int masks:
 
 The arena is registered as a cached analysis (generation-stamped like every
 other entry in :class:`~repro.pipeline.analysis.AnalysisCache`) and is
-patched through the same :class:`~repro.ir.editlog.EditLog` seam the
-incremental analyses use: :meth:`apply_edits` re-lowers only the touched
+patched through the :class:`~repro.ir.editlog.EditLog` seam the mutating
+passes emit: :meth:`apply_edits` re-lowers only the touched
 blocks' instruction rows and splices the untouched spans over, rebuilding
 the (cheap) CFG tables from scratch.
 
@@ -234,7 +234,7 @@ class FlatFunction:
 
         # Block order: RPO-indexed ids (id == RPO position), unreachable
         # blocks appended in declaration order — the exact positions
-        # `BitLivenessSets._rpo_positions` assigns.
+        # `BitLivenessSets._rpo_order` assigns.
         order = reverse_postorder(function)
         if len(order) != len(blocks):
             reached = set(order)
@@ -357,7 +357,7 @@ class FlatFunction:
         )
 
     def apply_edits(self, log: EditLog) -> None:
-        """Patch the arena from one edit log (the PR 3–4 incremental seam).
+        """Patch the arena from one pass-emitted edit log.
 
         The expensive part of a lowering is the per-block instruction rows;
         only the rows of blocks the log touched (or created) are re-lowered —
@@ -424,23 +424,6 @@ class FlatFunction:
                 )
             )
         return rows
-
-    def components(self) -> List[List[int]]:
-        """SCCs over the arena's edge table (block ids, same emission and
-        membership order as :func:`repro.cfg.scc.strongly_connected_components`
-        on the object graph — the label walk uses the same root and successor
-        orders, and components are keyed by discovery order, not id)."""
-        from repro.cfg.scc import flat_strongly_connected_components
-
-        num_blocks = len(self.labels)
-        if self.entry < 0:
-            roots: List[int] = list(self.decl)
-        else:
-            entry = self.entry
-            roots = [entry] + [b for b in self.decl if b != entry]
-        return flat_strongly_connected_components(
-            num_blocks, self.succ_off, self.succ_ids, roots
-        )
 
     # -- memory accounting ----------------------------------------------------
     def _measure(self) -> int:

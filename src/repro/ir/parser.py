@@ -120,7 +120,10 @@ def parse_function(text: str) -> Function:
 
         label_match = _LABEL_RE.match(line)
         if label_match:
-            current = function.add_block(label_match.group(1))
+            try:
+                current = function.add_block(label_match.group(1))
+            except ValueError as error:  # a duplicate label
+                raise ParseError(str(error), line_number, raw_line) from error
             continue
 
         if current is None:

@@ -16,22 +16,17 @@ out-of-SSA translation:
 * :class:`~repro.liveness.livecheck.LivenessChecker` — liveness *checking*
   without global sets, from CFG-only precomputation plus per-variable cached
   backward walks (the role played by fast liveness checking [16] in the
-  paper's "LiveCheck" configurations);
-* :class:`~repro.liveness.incremental.IncrementalBitLiveness` — the bit-set
-  rows kept valid across structural edits: the mutating passes log what they
-  did (:class:`~repro.ir.editlog.EditLog`) and ``apply_edits`` re-solves only
-  the dirtied region, bit-identically to a cold solve.
+  paper's "LiveCheck" configurations).
 
-All four share the query interface of
+All three share the query interface of
 :class:`~repro.liveness.base.LivenessOracle` so every engine can be
 instantiated with any of them (``EngineConfig.liveness`` /
-``--liveness {sets,bitsets,check,incremental}``).
+``--liveness {sets,bitsets,check}``).
 """
 
 from repro.liveness.base import LivenessOracle
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
-from repro.liveness.incremental import IncrementalBitLiveness, ResolveDelta
 from repro.liveness.livecheck import LivenessChecker
 from repro.liveness.numbering import VariableNumbering
 from repro.liveness.intersection import IntersectionOracle, live_ranges_intersect
@@ -40,8 +35,6 @@ __all__ = [
     "LivenessOracle",
     "LivenessSets",
     "BitLivenessSets",
-    "IncrementalBitLiveness",
-    "ResolveDelta",
     "LivenessChecker",
     "VariableNumbering",
     "IntersectionOracle",

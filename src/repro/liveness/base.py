@@ -35,9 +35,9 @@ class LivenessOracle:
     def _index_positions(self) -> None:
         """(Re)build the definition/use position maps from the function.
 
-        Called at construction; incremental oracles call it again after the
-        function was edited underneath them (see
-        :class:`~repro.liveness.incremental.IncrementalBitLiveness`).
+        Called at construction; :class:`~repro.liveness.livecheck.LivenessChecker`
+        calls it again after the function was edited underneath it (see
+        its ``apply_edits``).
         """
         function = self.function
         self.def_points: Dict[Variable, ProgramPoint] = definition_points(function)

@@ -9,20 +9,11 @@ interference bit-matrix) and every live-in / live-out set is a
 ``ceil(#variables / 8) * #basicblocks * 2`` that Figure 7 evaluates — here it
 is also *measured*, through the allocation tracker.
 
-The fixpoint is solved with a worklist; a block is re-queued only when the
-live-in set of one of its successors actually changes, instead of re-sweeping
-the whole function round-robin as the ordered-set backend does.  Two seeding
-disciplines are available (``seed=``):
-
-* ``"rpo"`` (default) — the worklist starts in post-order (the orders come
-  from :mod:`repro.cfg.traversal`), the fastest single-sweep direction for a
-  backward problem;
-* ``"scc"`` — condensation order (:mod:`repro.cfg.scc`): strongly connected
-  components are processed sinks-first and each is stabilised *locally*
-  before any earlier component is looked at.  On deeply nested loops this
-  avoids re-sweeping outer regions while an inner loop is still converging;
-  ``solver_iterations`` counts block evaluations so the two disciplines can
-  be compared (the stress benchmark and a property test do).
+The fixpoint is solved with a worklist seeded in post-order (the orders come
+from :mod:`repro.cfg.traversal`), the fastest single-sweep direction for a
+backward problem; a block is re-queued only when the live-in set of one of
+its successors actually changes, instead of re-sweeping the whole function
+round-robin as the ordered-set backend does.
 
 The φ conventions are those of :mod:`repro.liveness.base`: φ-arguments are
 uses on the incoming edge (live-out of the predecessor they flow from, not
@@ -34,7 +25,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.cfg.scc import strongly_connected_components
 from repro.cfg.traversal import reverse_postorder
 from repro.ir.function import Function
 from repro.ir.instructions import Variable
@@ -50,51 +40,30 @@ class BitLivenessSets(LivenessOracle):
     #: Allocation-tracker category of the long-lived rows (Figure 7 bars).
     category = "liveness_bitsets"
 
-    #: Recognised worklist seeding disciplines.
-    SEED_ORDERS = ("rpo", "scc")
-
     def __init__(
         self,
         function: Function,
         numbering: Optional[VariableNumbering] = None,
-        seed: str = "rpo",
     ) -> None:
         """``numbering`` lets one dense numbering be shared with the
-        interference bit-matrix (the ROADMAP follow-up): when given, the
-        function's variables are appended to it instead of numbering them into
-        a private instance.  ``seed`` picks the worklist seeding discipline
-        (``"rpo"`` or ``"scc"``, see the module docstring)."""
+        interference bit-matrix: when given, the function's variables are
+        appended to it instead of numbering them into a private instance."""
         super().__init__(function)
-        if seed not in self.SEED_ORDERS:
-            raise ValueError(
-                f"unknown seed order {seed!r}; known orders: {', '.join(self.SEED_ORDERS)}"
-            )
         if numbering is None:
             numbering = VariableNumbering.of_function(function)
         else:
             for var in function.variables():
                 numbering.ensure(var)
         self.numbering = numbering
-        self.seed = seed
-        self._universe = len(self.numbering)
         self.live_in: Dict[str, BitSet] = {}
         self.live_out: Dict[str, BitSet] = {}
         #: Authoritative raw rows (int masks); ``live_in``/``live_out`` are
         #: :class:`BitSet` views over them, rebuilt per-row when they change.
         self._bits_in: Dict[str, int] = {}
         self._bits_out: Dict[str, int] = {}
-        #: Cached per-block (defs, upward-exposed, φ-defs) masks and φ-edge
-        #: masks; the incremental subclass patches these instead of rebuilding.
+        #: Per-block (defs, upward-exposed, φ-defs) masks and φ-edge masks.
         self._masks: Dict[str, Tuple[int, int, int]] = {}
         self._phi_edge: Dict[Tuple[str, str], int] = {}
-        #: SCC structure of the cold solve (``seed="scc"`` only; empty for
-        #: RPO): incremental re-solves reuse it to process dirty regions in
-        #: the same condensation discipline.
-        self._components: List[List[str]] = []
-        self._component_of: Dict[str, int] = {}
-        #: Number of block evaluations the worklist performed (monotonically
-        #: accumulated across re-solves).
-        self.solver_iterations = 0
         self._solve()
         self._record_footprint()
 
@@ -135,30 +104,15 @@ class BitLivenessSets(LivenessOracle):
         live_out: Dict[str, int],
         worklist: "deque[str]",
         queued: Set[str],
-        members: Optional[Set[str]] = None,
-        spill: Optional[List[str]] = None,
-        processed: Optional[Set[str]] = None,
     ) -> None:
-        """Run the backward transfer to a fixpoint over raw int masks.
-
-        ``members`` restricts re-queuing to a block subset: the SCC discipline
-        stabilises one component at a time.  In a cold solve the re-queues
-        falling outside are simply dropped (every block is seeded in its own
-        component pass anyway); an incremental re-solve seeds only dirty
-        blocks, so it passes ``spill`` to collect the out-of-component
-        re-queues and distribute them to their own components' pending sets.
-        """
+        """Run the backward transfer to a fixpoint over raw int masks."""
         masks = self._masks
         phi_edge = self._phi_edge
         successors = self.function.successors
         predecessors = self.function.predecessors
-        iterations = 0
         while worklist:
             label = worklist.popleft()
             queued.discard(label)
-            iterations += 1
-            if processed is not None:
-                processed.add(label)
             out = 0
             for successor in successors(label):
                 out |= live_in[successor] & ~masks[successor][2]
@@ -169,24 +123,19 @@ class BitLivenessSets(LivenessOracle):
             if new_in != live_in[label]:
                 live_in[label] = new_in
                 for predecessor in predecessors(label):
-                    if members is not None and predecessor not in members:
-                        if spill is not None:
-                            spill.append(predecessor)
-                        continue
                     if predecessor not in queued:
                         queued.add(predecessor)
                         worklist.append(predecessor)
-        self.solver_iterations += iterations
 
-    def _rpo_positions(self) -> Dict[str, int]:
-        """Reverse post-order position of every block; unreachable blocks are
-        appended after the reachable ones, in declaration order (the ordered
-        backend computes liveness for them too, and exact equality with it is
-        a tested invariant)."""
+    def _rpo_order(self) -> List[str]:
+        """Every block in reverse post-order; unreachable blocks are appended
+        after the reachable ones, in declaration order (the ordered backend
+        computes liveness for them too, and exact equality with it is a
+        tested invariant)."""
         order = reverse_postorder(self.function)
         reached = set(order)
         order += [label for label in self.function.blocks if label not in reached]
-        return {label: position for position, label in enumerate(order)}
+        return order
 
     def _solve(self) -> None:
         function = self.function
@@ -196,71 +145,20 @@ class BitLivenessSets(LivenessOracle):
 
         live_in = {label: 0 for label in labels}
         live_out = {label: 0 for label in labels}
-        #: Kept for incremental re-solves: a deterministic seeding order that
-        #: does not require re-traversing the (possibly edited) CFG.
-        self._rpo_position = rpo_position = self._rpo_positions()
-        by_rpo = sorted(labels, key=rpo_position.__getitem__)
-
-        self._components = []
-        self._component_of = {}
-        if self.seed == "scc":
-            # Condensation discipline: components arrive sinks-first (reverse
-            # topological order), each is seeded in post-order and stabilised
-            # locally.  Re-queues can only target the current component or a
-            # later one, so one pass over the components reaches the global
-            # fixpoint with no outer re-sweep.  The component structure is
-            # kept: incremental re-solves process their dirty regions in the
-            # same discipline.
-            self._components = strongly_connected_components(function)
-            for index, component in enumerate(self._components):
-                for label in component:
-                    self._component_of[label] = index
-            # Runs of *trivial* components (single block, no self-loop) need
-            # no local fixpoint — each block is evaluated exactly once — so
-            # consecutive runs are batched into a single worklist pass in
-            # emission order instead of one `_sweep` call per block.  The
-            # evaluation sequence (and therefore `solver_iterations`) is
-            # identical to the one-component-at-a-time discipline: every
-            # batched block starts queued, and a re-queue can only target a
-            # predecessor, which the reverse-topological emission order
-            # places *later* in the batch, i.e. still queued.  On an acyclic
-            # CFG (all components trivial) the seeding degenerates to one
-            # sweep over all blocks — the cost profile of ``seed="rpo"`` —
-            # which removes the per-component overhead that made cold SCC
-            # solves slower than RPO at the 10k-block stress point.
-            batch: List[str] = []
-            for component in self._components:
-                label = component[0]
-                if len(component) == 1 and label not in function.successors(label):
-                    batch.append(label)
-                    continue
-                if batch:
-                    self._sweep(
-                        live_in, live_out, deque(batch), set(batch), set(batch)
-                    )
-                    batch = []
-                members = set(component)
-                local = sorted(component, key=rpo_position.__getitem__, reverse=True)
-                self._sweep(live_in, live_out, deque(local), set(local), members)
-            if batch:
-                self._sweep(live_in, live_out, deque(batch), set(batch), set(batch))
-        else:
-            # Backward problem: seed the worklist with the blocks in
-            # post-order (last block of the RPO first) so most information
-            # flows in one pass.
-            worklist = deque(reversed(by_rpo))
-            self._sweep(live_in, live_out, worklist, set(labels))
+        # Backward problem: seed the worklist with the blocks in post-order
+        # (last block of the RPO first) so most information flows in one pass.
+        self._sweep(live_in, live_out, deque(reversed(self._rpo_order())), set(labels))
 
         # The numbering may have grown while scanning (defensive: variables()
         # already covers every def and use).
-        self._universe = len(self.numbering)
+        universe = len(self.numbering)
         self._bits_in = live_in
         self._bits_out = live_out
         self.live_in = {
-            label: BitSet.from_bits(self._universe, live_in[label]) for label in labels
+            label: BitSet.from_bits(universe, live_in[label]) for label in labels
         }
         self.live_out = {
-            label: BitSet.from_bits(self._universe, live_out[label]) for label in labels
+            label: BitSet.from_bits(universe, live_out[label]) for label in labels
         }
 
     def _record_footprint(self) -> None:
@@ -284,62 +182,6 @@ class BitLivenessSets(LivenessOracle):
         """The live-out variables of a block (decoded from the bit row)."""
         variable = self.numbering.variable
         return (variable(index) for index in self.live_out[block_label])
-
-    # -- bulk queries ----------------------------------------------------------
-    def blocks_touching(self, variables) -> Set[str]:
-        """Labels whose live-in/live-out rows or def masks mention ``variables``.
-
-        This is the *dirty neighbourhood* of a variable set: every block able
-        to originate an interference edge involving one of the variables
-        (a definition inside it, or liveness across its boundary).  One mask
-        test per block against the authoritative raw rows — the bulk query
-        the incremental interference backend uses to bound its re-scan.
-        """
-        mask = 0
-        ensure = self.numbering.ensure
-        for var in variables:
-            mask |= 1 << ensure(var)
-        if not mask:
-            return set()
-        touching: Set[str] = set()
-        masks = self._masks
-        bits_in = self._bits_in
-        bits_out = self._bits_out
-        for label in self.function.blocks:
-            block_masks = masks.get(label)
-            if block_masks is None:
-                block_masks = masks[label] = self._block_masks(label)
-            combined = bits_in.get(label, 0) | bits_out.get(label, 0) | block_masks[0]
-            if combined & mask:
-                touching.add(label)
-        return touching
-
-    # -- maintenance hooks ----------------------------------------------------
-    def _index_for(self, var: Variable) -> int:
-        """Index of ``var``, growing the universe (and every row) if new."""
-        index = self.numbering.ensure(var)
-        if index >= self._universe:
-            self._universe = len(self.numbering)
-            for row in self.live_in.values():
-                row.grow(self._universe)
-            for row in self.live_out.values():
-                row.grow(self._universe)
-        return index
-
-    def add_live_through(self, block_label: str, var: Variable) -> None:
-        """Record that ``var`` is now live across ``block_label`` (incremental update)."""
-        self.add_live_in(block_label, var)
-        self.add_live_out(block_label, var)
-
-    def add_live_out(self, block_label: str, var: Variable) -> None:
-        index = self._index_for(var)
-        self.live_out[block_label].add(index)
-        self._bits_out[block_label] |= 1 << index
-
-    def add_live_in(self, block_label: str, var: Variable) -> None:
-        index = self._index_for(var)
-        self.live_in[block_label].add(index)
-        self._bits_in[block_label] |= 1 << index
 
     # -- memory accounting ----------------------------------------------------
     def footprint_bytes(self) -> int:

@@ -101,18 +101,6 @@ class LivenessSets(LivenessOracle):
     def is_live_out(self, block_label: str, var: Variable) -> bool:
         return var in self.live_out[block_label]
 
-    # -- maintenance hooks ----------------------------------------------------------
-    def add_live_through(self, block_label: str, var: Variable) -> None:
-        """Record that ``var`` is now live across ``block_label`` (incremental update)."""
-        self.live_in[block_label].add(var)
-        self.live_out[block_label].add(var)
-
-    def add_live_out(self, block_label: str, var: Variable) -> None:
-        self.live_out[block_label].add(var)
-
-    def add_live_in(self, block_label: str, var: Variable) -> None:
-        self.live_in[block_label].add(var)
-
     # -- memory accounting -------------------------------------------------------------
     def footprint_bytes(self) -> int:
         """Footprint of the ordered live-in/live-out sets (8 bytes per entry)."""

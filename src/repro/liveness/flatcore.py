@@ -1,28 +1,22 @@
 """Flat-core bit-set liveness: the worklist transfer over int-indexed tables.
 
-`FlatBitLiveness` / `FlatIncrementalBitLiveness` are drop-in subclasses of
-the object-graph solvers that replace only the *cold solve*: instead of
-walking `Function.blocks` through label-keyed dicts, `_solve` runs the same
-backward transfer
+`FlatBitLiveness` is a drop-in subclass of the object-graph solver that
+replaces only the *cold solve*: instead of walking `Function.blocks` through
+label-keyed dicts, `_solve` runs the same backward transfer
 
     out(b)    = OR over successors s of (in(s) & ~phi_defs(s)) | phi_edge(b, s)
     new_in(b) = upward(b) | (out(b) & ~defs(b))
 
 over the :class:`~repro.ir.flat.FlatFunction` arena — block ids are RPO
 positions, successor/predecessor edges are CSR rows, the transfer masks are
-list entries — so each worklist step is pure int indexing.  Seeding
-disciplines match the base class exactly (``"rpo"``: post-order, i.e. ids
-descending; ``"scc"``: condensation order over the arena's edge table,
-trivial-component runs batched like the object solver), so
-``solver_iterations`` and every live-in / live-out row are bit-for-bit
-identical to the objects core — a property test diffs them.
+list entries — so each worklist step is pure int indexing.  The worklist is
+seeded exactly like the base class (post-order, i.e. ids descending), so
+every live-in / live-out row is bit-for-bit identical to the objects core —
+a property test diffs them.
 
-After the int solve, every label-keyed field the base class exposes
-(``_masks``, ``_phi_edge``, ``_bits_in``/``_bits_out``, the ``BitSet``
-views, ``_rpo_position``, ``_components``) is populated in the same
-iteration order the object solver uses, which keeps the *warm* path — the
-inherited :meth:`IncrementalBitLiveness.apply_edits` — working untouched:
-incremental patches are label-local and never re-run the cold solve.
+After the int solve, the label-keyed rows the base class exposes
+(``_bits_in``/``_bits_out`` and the ``BitSet`` views) are populated in
+declaration order, which is all its consumers read.
 """
 
 from __future__ import annotations
@@ -33,34 +27,26 @@ from typing import Dict, List, Optional
 from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
 from repro.liveness.bitsets import BitLivenessSets
-from repro.liveness.incremental import IncrementalBitLiveness
 from repro.liveness.numbering import VariableNumbering
 from repro.utils.bitset import BitSet
 
 
-class _FlatSolveMixin:
-    """Overrides ``_solve`` to run over a :class:`FlatFunction` arena.
+class FlatBitLiveness(BitLivenessSets):
+    """`BitLivenessSets` with the cold solve on the flat arena (``--core flat``).
 
-    Must precede a :class:`BitLivenessSets` subclass in the MRO.  The arena
-    can be shared through the ``flat=`` keyword (the analysis cache passes
-    its generation-stamped instance); when absent or stale, one is lowered
-    privately — the solver never mutates it.
+    The arena can be shared through the ``flat=`` keyword (the analysis cache
+    passes its generation-stamped instance); when absent or stale, one is
+    lowered privately — the solver never mutates it.
     """
 
     def __init__(
         self,
         function: Function,
         numbering: Optional[VariableNumbering] = None,
-        seed: Optional[str] = None,
         flat: Optional[FlatFunction] = None,
     ) -> None:
         self._flat = flat
-        if seed is None:
-            # Let each base class keep its own default ("rpo" for the cold
-            # solver, "scc" for the incremental one).
-            super().__init__(function, numbering=numbering)
-        else:
-            super().__init__(function, numbering=numbering, seed=seed)
+        super().__init__(function, numbering=numbering)
 
     @property
     def flat(self) -> Optional[FlatFunction]:
@@ -82,46 +68,15 @@ class _FlatSolveMixin:
         ids = flat.ids
         live_in = [0] * num_blocks
         live_out = [0] * num_blocks
+        self._flat_sweep(
+            flat,
+            live_in,
+            live_out,
+            deque(range(num_blocks - 1, -1, -1)),
+            bytearray(b"\x01") * num_blocks,
+        )
 
-        # The label-keyed mirrors the base class (and its incremental warm
-        # path) expose; built in the same declaration order `_solve` uses.
-        self._masks = {
-            label: (
-                flat.defs_mask[ids[label]],
-                flat.upward_mask[ids[label]],
-                flat.phi_defs_mask[ids[label]],
-            )
-            for label in function.blocks
-        }
-        self._phi_edge = dict(flat.phi_edge)
-        #: Block id == RPO position, by construction of the arena.
-        self._rpo_position = dict(zip(flat.labels, range(num_blocks)))
-
-        self._components = []
-        self._component_of = {}
-        if self.seed == "scc":
-            components = flat.components()
-            labels = flat.labels
-            self._components = [
-                [labels[member] for member in component] for component in components
-            ]
-            for index, component in enumerate(self._components):
-                for label in component:
-                    self._component_of[label] = index
-            iterations = self._flat_scc_sweep(flat, live_in, live_out, components)
-        else:
-            iterations = self._flat_sweep(
-                flat,
-                live_in,
-                live_out,
-                deque(range(num_blocks - 1, -1, -1)),
-                bytearray(b"\x01") * num_blocks,
-                None,
-            )
-        self.solver_iterations += iterations
-
-        self._universe = len(self.numbering)
-        universe = self._universe
+        universe = len(self.numbering)
         from_bits = BitSet.from_bits
         bits_in: Dict[str, int] = {}
         bits_out: Dict[str, int] = {}
@@ -147,15 +102,12 @@ class _FlatSolveMixin:
         live_out: List[int],
         worklist: "deque[int]",
         queued: bytearray,
-        members: Optional[bytearray],
-    ) -> int:
-        """One worklist fixpoint over int rows; returns block evaluations.
+    ) -> None:
+        """One worklist fixpoint over int rows.
 
         The re-queue discipline mirrors ``BitLivenessSets._sweep``: when a
         block's live-in changes, its predecessors are queued unless already
-        queued; with ``members`` set, re-queues outside the member region are
-        dropped (the cold SCC discipline — every block is seeded by its own
-        component pass).
+        queued.
         """
         succ_off = flat.succ_off
         succ_ids = flat.succ_ids
@@ -165,13 +117,11 @@ class _FlatSolveMixin:
         defs_mask = flat.defs_mask
         upward_mask = flat.upward_mask
         phi_defs_mask = flat.phi_defs_mask
-        iterations = 0
         popleft = worklist.popleft
         append = worklist.append
         while worklist:
             block = popleft()
             queued[block] = 0
-            iterations += 1
             out = 0
             for position in range(succ_off[block], succ_off[block + 1]):
                 successor = succ_ids[position]
@@ -184,73 +134,6 @@ class _FlatSolveMixin:
                 live_in[block] = new_in
                 for position in range(pred_off[block], pred_off[block + 1]):
                     predecessor = pred_ids[position]
-                    if members is not None and not members[predecessor]:
-                        continue
                     if not queued[predecessor]:
                         queued[predecessor] = 1
                         append(predecessor)
-        return iterations
-
-    def _flat_scc_sweep(
-        self,
-        flat: FlatFunction,
-        live_in: List[int],
-        live_out: List[int],
-        components: List[List[int]],
-    ) -> int:
-        """Condensation discipline over the arena, matching the object solver
-        evaluation-for-evaluation: components sinks-first, non-trivial ones
-        seeded in post-order (ids descending — id == RPO position) and
-        stabilised locally, runs of trivial components batched into a single
-        pass in emission order."""
-        num_blocks = len(flat.labels)
-        members = bytearray(num_blocks)
-        queued = bytearray(num_blocks)
-        succ_off = flat.succ_off
-        succ_ids = flat.succ_ids
-        iterations = 0
-
-        def run(seed_order: List[int]) -> None:
-            nonlocal iterations
-            for block in seed_order:
-                members[block] = 1
-                queued[block] = 1
-            iterations += self._flat_sweep(
-                flat, live_in, live_out, deque(seed_order), queued, members
-            )
-            for block in seed_order:
-                members[block] = 0
-
-        batch: List[int] = []
-        for component in components:
-            if len(component) == 1:
-                block = component[0]
-                for position in range(succ_off[block], succ_off[block + 1]):
-                    if succ_ids[position] == block:
-                        break
-                else:
-                    batch.append(block)
-                    continue
-            if batch:
-                run(batch)
-                batch = []
-            run(sorted(component, reverse=True))
-        if batch:
-            run(batch)
-        return iterations
-
-
-class FlatBitLiveness(_FlatSolveMixin, BitLivenessSets):
-    """`BitLivenessSets` with the cold solve on the flat arena (``--core flat``)."""
-
-
-class FlatIncrementalBitLiveness(_FlatSolveMixin, IncrementalBitLiveness):
-    """`IncrementalBitLiveness` with the cold solve on the flat arena.
-
-    Warm re-solves (:meth:`apply_edits`) are inherited unchanged: they patch
-    the label-keyed masks and rows in place, which this class keeps populated
-    exactly as the object solver would.  The arena itself is *not* patched
-    here — it is a cached analysis with its own `EditLog` hook
-    (:meth:`FlatFunction.apply_edits`), invalidated and rebuilt by the cache
-    when stale.
-    """

@@ -39,8 +39,7 @@ class IntersectionOracle:
         # are memoized: each variable's key is computed exactly once, no
         # matter how many congruence-class merges re-compare it
         # (``order_key_computations`` counts the misses; a regression test
-        # pins it to the number of distinct variables).  Structural edits
-        # drop the affected entries through :meth:`invalidate_keys`.
+        # pins it to the number of distinct variables).
         self._order_keys: Dict[Variable, tuple] = {}
         #: Fresh ≺-key computations (cache misses); never decremented.
         self.order_key_computations = 0
@@ -121,35 +120,6 @@ class IntersectionOracle:
             answer = def_a.dominates(def_b, self.domtree)
         self._dominates_memo[memo_key] = answer
         return answer
-
-    def invalidate_keys(self, variables=None) -> None:
-        """Drop memoized ≺ keys (for ``variables``, or all when ``None``).
-
-        Structural edits move definition points; the incremental backends
-        call this with the edit log's affected set so the next
-        :meth:`dominance_order_key` recomputes from the fresh positions.  The
-        pair-keyed dominance memo cannot be filtered by one endpoint cheaply,
-        so any invalidation clears it whole (it re-fills on demand).
-
-        For edits that change the *CFG itself* (edge splits, new blocks) use
-        :meth:`invalidate_structure` instead: the dominator tree and with it
-        every variable's preorder key are stale, not just the affected ones.
-        """
-        if variables is None:
-            self._order_keys.clear()
-        else:
-            for var in variables:
-                self._order_keys.pop(var, None)
-        self._dominates_memo.clear()
-
-    def invalidate_structure(self) -> None:
-        """Drop everything derived from the CFG shape: the lazily built
-        dominator tree, every memoized ≺ key (their preorder components come
-        from that tree) and the dominance memo.  Called by the incremental
-        backends when an edit log records a split edge or a new block."""
-        self._domtree = None
-        self._order_keys.clear()
-        self._dominates_memo.clear()
 
 
 def live_ranges_intersect(function: Function, a: Variable, b: Variable) -> bool:

@@ -22,14 +22,12 @@ LIVENESS_BACKENDS: Dict[str, str] = {
     "sets": "ordered-set data-flow fixpoint (reference oracle)",
     "bitsets": "bit-set rows over a shared numbering, worklist solver",
     "check": "liveness checking, no global live-in/live-out sets",
-    "incremental": "bit-set rows patched from pass edit logs (delta re-solve)",
 }
 
 #: The pluggable interference backends (CLI ``--interference``, ``repro list``).
 INTERFERENCE_BACKENDS: Dict[str, str] = {
     "matrix": "eager half bit-matrix graph over the shared numbering",
     "query": "no graph: dominance/value pairwise queries (InterCheck)",
-    "incremental": "bit-matrix patched from pass edit logs (dirty re-scan)",
 }
 
 #: Policies for a φ-argument defined by the predecessor's terminator.
@@ -65,16 +63,9 @@ class EngineConfig:
     #: implementation), "bitsets" (bit-set rows + worklist, the encoding
     #: Figure 7 evaluates) or "check" (liveness checking, no global sets).
     liveness: str = "bitsets"
-    #: Interference backend: "matrix" (eager bit-matrix graph), "query"
-    #: (pairwise dominance/value queries, "InterCheck") or "incremental"
-    #: (the matrix kept valid across pass edit logs).  Empty string derives
-    #: it from the legacy ``use_interference_graph`` flag.
-    interference: str = ""
-    #: Legacy flag: build an explicit interference graph (bit-matrix) or
-    #: answer pairwise queries directly ("InterCheck").  Normalised against
-    #: :attr:`interference` in ``__post_init__``: when ``interference`` is
-    #: given it wins and this flag is derived from it.
-    use_interference_graph: bool = True
+    #: Interference backend: "matrix" (eager bit-matrix graph) or "query"
+    #: (pairwise dominance/value queries, "InterCheck").
+    interference: str = "matrix"
     #: Use the linear congruence-class interference check instead of the
     #: quadratic all-pairs one.
     linear_class_check: bool = False
@@ -106,17 +97,12 @@ class EngineConfig:
             raise ValueError(
                 f"unknown IR core {self.core!r}; known cores: {known}"
             )
-        if not self.interference:
-            object.__setattr__(
-                self, "interference", "matrix" if self.use_interference_graph else "query"
-            )
-        elif self.interference not in INTERFERENCE_BACKENDS:
+        if self.interference not in INTERFERENCE_BACKENDS:
             known = ", ".join(sorted(INTERFERENCE_BACKENDS))
             raise ValueError(
                 f"unknown interference backend {self.interference!r}; "
                 f"known backends: {known}"
             )
-        object.__setattr__(self, "use_interference_graph", self.interference != "query")
 
     def describe(self) -> str:
         parts = [variant_by_name(self.coalescing).label]
@@ -124,13 +110,11 @@ class EngineConfig:
             "sets": "ordered liveness sets",
             "bitsets": "bit-set liveness",
             "check": "LiveCheck",
-            "incremental": "incremental bit-set liveness",
         }
         parts.append(liveness_labels.get(self.liveness, self.liveness))
         interference_labels = {
             "matrix": "interference graph",
             "query": "InterCheck",
-            "incremental": "incremental interference graph",
         }
         parts.append(interference_labels.get(self.interference, self.interference))
         parts.append("linear class check" if self.linear_class_check else "quadratic class check")
@@ -275,7 +259,7 @@ class EngineConfigBuilder:
         return self
 
     def interference(self, kind: str) -> "EngineConfigBuilder":
-        """Select the interference backend (``matrix`` / ``query`` / ``incremental``)."""
+        """Select the interference backend (``matrix`` / ``query``)."""
         if kind not in INTERFERENCE_BACKENDS:
             known = ", ".join(sorted(INTERFERENCE_BACKENDS))
             raise ValueError(
@@ -283,10 +267,6 @@ class EngineConfigBuilder:
             )
         self._overrides["interference"] = kind
         return self
-
-    def interference_graph(self, enabled: bool = True) -> "EngineConfigBuilder":
-        """Legacy spelling: ``True`` selects ``matrix``, ``False`` ``query``."""
-        return self.interference("matrix" if enabled else "query")
 
     def linear_class_check(self, enabled: bool = True) -> "EngineConfigBuilder":
         self._overrides["linear_class_check"] = bool(enabled)

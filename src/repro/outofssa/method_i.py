@@ -88,14 +88,11 @@ class PhiCopyInsertion:
             if copy.kind == "phi_arg" and copy.phi_block:
                 # The φ's own block changed too: its argument was re-pointed
                 # at the primed variable (copy.dst), so the original argument
-                # *lost* its φ-edge use (its liveness may shrink at the
-                # predecessor's exit) while the primed one gained it.
+                # lost its φ-edge use while the primed one gained it.
                 involved = [copy.dst]
-                removed = []
                 if isinstance(copy.src, Variable):
                     involved.append(copy.src)
-                    removed.append(copy.src)
-                log.block_rewritten(copy.phi_block, involved, removed=removed)
+                log.block_rewritten(copy.phi_block, involved)
         return log
 
 

@@ -35,7 +35,7 @@ class OutOfSSAStats:
     class_row_checks: int = 0
     split_blocks: int = 0
     elapsed_seconds: float = 0.0
-    #: Interference backend the run used ("matrix" / "query" / "incremental").
+    #: Interference backend the run used ("matrix" / "query").
     interference_backend: str = ""
     #: Worker threads the parallel coalescing prefilter ran on (0 = the
     #: ordinary serial sweep; service shards opt in).

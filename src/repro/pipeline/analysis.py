@@ -65,18 +65,14 @@ from repro.cfg.dominance import DominatorTree
 from repro.cfg.frequency import estimate_block_frequencies
 from repro.coalescing.variants import variant_by_name
 from repro.interference.base import InterferenceKind, InterferenceOracle, QueryInterference
-from repro.interference.flatcore import (
-    FlatIncrementalMatrixInterference,
-    FlatMatrixInterference,
-)
-from repro.interference.graph import IncrementalMatrixInterference, MatrixInterference
+from repro.interference.flatcore import FlatMatrixInterference
+from repro.interference.graph import MatrixInterference
 from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
 from repro.liveness.base import LivenessOracle
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
-from repro.liveness.flatcore import FlatBitLiveness, FlatIncrementalBitLiveness
-from repro.liveness.incremental import IncrementalBitLiveness
+from repro.liveness.flatcore import FlatBitLiveness
 from repro.liveness.intersection import IntersectionOracle
 from repro.liveness.livecheck import LivenessChecker
 from repro.liveness.numbering import VariableNumbering
@@ -110,7 +106,6 @@ LIVENESS_CLASSES: Dict[str, Type[LivenessOracle]] = {
     "sets": LivenessSets,
     "bitsets": BitLivenessSets,
     "check": LivenessChecker,
-    "incremental": IncrementalBitLiveness,
 }
 assert set(LIVENESS_CLASSES) == set(LIVENESS_BACKENDS)
 
@@ -119,7 +114,6 @@ assert set(LIVENESS_CLASSES) == set(LIVENESS_BACKENDS)
 INTERFERENCE_CLASSES: Dict[str, Type[InterferenceOracle]] = {
     "matrix": MatrixInterference,
     "query": QueryInterference,
-    "incremental": IncrementalMatrixInterference,
 }
 assert set(INTERFERENCE_CLASSES) == set(INTERFERENCE_BACKENDS)
 
@@ -137,16 +131,13 @@ def build_interference_backend(
     The interference notion comes from the engine's coalescing variant; the
     :class:`~repro.ssa.values.ValueTable` is requested from the cache
     unconditionally, exactly as the pass always has (so the measured Figure 7
-    footprints stay comparable across backends).  The ``incremental`` backend
-    needs bit-set liveness rows underneath; when the engine's own liveness
-    backend is not :class:`~repro.liveness.incremental.IncrementalBitLiveness`
-    a dedicated instance is requested from the cache to back the matrix.
+    footprints stay comparable across backends).
 
     Cache keys stay the *base* backend types regardless of the engine's
-    ``core``: with ``core="flat"`` the matrix-backed entries are constructed
-    as their flat-core subclasses (sharing the cached
-    :class:`~repro.ir.flat.FlatFunction` arena), which every ``isinstance``
-    check and patch hook downstream sees through unchanged.
+    ``core``: with ``core="flat"`` the matrix backend is constructed as its
+    flat-core subclass (sharing the cached :class:`~repro.ir.flat.FlatFunction`
+    arena), which every ``isinstance`` check downstream sees through
+    unchanged.
     """
     function = cache.function
     kind: InterferenceKind = variant_by_name(cache.config.coalescing).interference
@@ -154,22 +145,6 @@ def build_interference_backend(
     flat_core = cache.config.core == "flat"
     if backend_class is None:
         backend_class = cache.interference_class()
-    if backend_class is IncrementalMatrixInterference:
-        live = cache.get(IncrementalBitLiveness)
-        if cache.liveness_class() is IncrementalBitLiveness:
-            oracle = cache.get(IntersectionOracle)
-        else:
-            oracle = IntersectionOracle(function, live, cache.get(DominatorTree))
-        if flat_core:
-            return FlatIncrementalMatrixInterference(
-                function, oracle, kind, values,
-                universe=universe, numbering=cache.get(VariableNumbering),
-                flat=cache.get(FlatFunction),
-            )
-        return IncrementalMatrixInterference(
-            function, oracle, kind, values,
-            universe=universe, numbering=cache.get(VariableNumbering),
-        )
     oracle = cache.get(IntersectionOracle)
     if backend_class is MatrixInterference:
         if flat_core:
@@ -200,19 +175,6 @@ def _build_bit_liveness(cache: "AnalysisCache") -> BitLivenessSets:
     return BitLivenessSets(cache.function, numbering=cache.get(VariableNumbering))
 
 
-def _build_incremental_liveness(cache: "AnalysisCache") -> IncrementalBitLiveness:
-    """Same dispatch for the `IncrementalBitLiveness` cache key."""
-    if cache.config.core == "flat":
-        return FlatIncrementalBitLiveness(
-            cache.function,
-            numbering=cache.get(VariableNumbering),
-            flat=cache.get(FlatFunction),
-        )
-    return IncrementalBitLiveness(
-        cache.function, numbering=cache.get(VariableNumbering)
-    )
-
-
 _DEFAULT_BUILDERS: Dict[type, AnalysisBuilder] = {
     DominatorTree: lambda cache: DominatorTree(cache.function),
     VariableNumbering: lambda cache: VariableNumbering.of_function(cache.function),
@@ -221,7 +183,6 @@ _DEFAULT_BUILDERS: Dict[type, AnalysisBuilder] = {
     ),
     LivenessSets: lambda cache: LivenessSets(cache.function),
     BitLivenessSets: _build_bit_liveness,
-    IncrementalBitLiveness: _build_incremental_liveness,
     LivenessChecker: lambda cache: LivenessChecker(cache.function),
     IntersectionOracle: lambda cache: IntersectionOracle(
         cache.function, cache.liveness(), cache.get(DominatorTree)
@@ -235,9 +196,6 @@ _DEFAULT_BUILDERS: Dict[type, AnalysisBuilder] = {
     ),
     MatrixInterference: lambda cache: build_interference_backend(
         cache, backend_class=MatrixInterference
-    ),
-    IncrementalMatrixInterference: lambda cache: build_interference_backend(
-        cache, backend_class=IncrementalMatrixInterference
     ),
 }
 

@@ -47,7 +47,7 @@ class Pass:
         Defaults to the static :attr:`preserves` declaration, widened by any
         analyses the pass body registered on ``ctx.patched_analyses`` — the
         in-place patching hook (e.g. a materialization that updated the
-        incremental liveness rows instead of invalidating them).
+        liveness checker's caches instead of invalidating them).
         """
         patched = tuple(getattr(ctx, "patched_analyses", ()))
         if self.preserves is PRESERVES_ALL:

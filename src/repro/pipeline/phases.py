@@ -7,8 +7,8 @@ split into pass objects over a shared :class:`~repro.pipeline.analysis.AnalysisC
    φ-function; φ congruence classes and register-pinned groups are
    pre-coalesced later, once the interference machinery exists.
 2. :class:`InterferencePass` — liveness, live-range intersection, SSA values
-   and the configured interference *backend* (``matrix`` / ``query`` /
-   ``incremental``, see :mod:`repro.interference.base`), registered in the
+   and the configured interference *backend* (``matrix`` / ``query``, see
+   :mod:`repro.interference.base`), registered in the
    :class:`~repro.pipeline.analysis.AnalysisCache` over the run's restricted
    candidate universe and sharing the liveness backend's variable numbering.
 3. :class:`CoalescingPass` — aggressive, weight-driven coalescing of all
@@ -25,16 +25,13 @@ from typing import Dict, List, Optional
 from repro.coalescing.engine import Affinity, AggressiveCoalescer, collect_affinities
 from repro.coalescing.sharing import apply_copy_sharing
 from repro.interference.congruence import CongruenceClasses
-from repro.interference.graph import IncrementalMatrixInterference
 from repro.ir.editlog import EditLog
 from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
 from repro.ir.instructions import Constant, Copy, ParallelCopy, Variable
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
-from repro.liveness.incremental import IncrementalBitLiveness
 from repro.liveness.livecheck import LivenessChecker
-from repro.liveness.numbering import VariableNumbering
 from repro.outofssa.method_i import PhiCopyInsertion, insert_phi_copies
 from repro.outofssa.parallel_copy import sequentialize_parallel_copy
 from repro.outofssa.pinning import pinned_register_groups
@@ -64,56 +61,22 @@ def candidate_universe(
     return list(seen)
 
 
-def _patch_incremental_analyses(ctx, log: EditLog, include_checker: bool = True) -> None:
-    """Feed one edit log to every cached analysis able to consume it.
+def _patch_warm_analyses(ctx, checker: LivenessChecker, log: EditLog) -> None:
+    """Feed one edit log to the cached analyses that consume it: the flat
+    arena (when cached) and the liveness checker's per-variable caches.
 
-    The order matters: the incremental liveness rows first (the matrix
-    backend locates its dirty blocks through them), then the liveness
-    checker's per-variable caches, then the incremental interference matrix.
-    Every patched analysis is vouched for via ``ctx.patched_analyses`` so the
+    Both are vouched for via ``ctx.patched_analyses`` so the
     :class:`~repro.pipeline.pipeline.PassManager` re-stamps instead of
-    dropping it.
+    dropping them; every other analysis is rebuilt cold when next requested.
     """
-    cache = ctx.analyses
-    flat: Optional[FlatFunction] = cache.cached(FlatFunction)
-    live: Optional[IncrementalBitLiveness] = cache.cached(IncrementalBitLiveness)
-    checker: Optional[LivenessChecker] = (
-        cache.cached(LivenessChecker) if include_checker else None
-    )
-    matrix: Optional[IncrementalMatrixInterference] = cache.cached(
-        IncrementalMatrixInterference
-    )
+    flat: Optional[FlatFunction] = ctx.analyses.cached(FlatFunction)
     if flat is not None:
-        # The arena first: it is pure representation (nothing below reads it
-        # on the warm path), and patching keeps it serveable for any later
-        # cold rebuild instead of being dropped and re-lowered from scratch.
+        # Pure representation: patching keeps it serveable for a later
+        # rebuild instead of being dropped and re-lowered from scratch.
         flat.apply_edits(log)
         ctx.patched_analyses.append(FlatFunction)
-    if live is not None:
-        live.apply_edits(log)
-        # The numbering only grew (append-only), so it is vouched for too;
-        # dropping it would hand later consumers a second instance with
-        # different indices than the preserved rows.
-        ctx.patched_analyses.extend([IncrementalBitLiveness, VariableNumbering])
-    if checker is not None:
-        checker.apply_edits(log)
-        ctx.patched_analyses.append(LivenessChecker)
-    if matrix is not None:
-        if matrix.oracle.liveness is not live:
-            # The matrix rides on its own bit-liveness instance (the engine's
-            # configured backend is a different one): patch it first.
-            matrix.oracle.liveness.apply_edits(log)
-        matrix.apply_edits(log)
-        ctx.patched_analyses.extend([IncrementalMatrixInterference, VariableNumbering])
-
-
-def _has_incremental_consumers(ctx, include_checker: bool = True) -> bool:
-    cache = ctx.analyses
-    return (
-        cache.cached(IncrementalBitLiveness) is not None
-        or (include_checker and cache.cached(LivenessChecker) is not None)
-        or cache.cached(IncrementalMatrixInterference) is not None
-    )
+    checker.apply_edits(log)
+    ctx.patched_analyses.append(LivenessChecker)
 
 
 # --------------------------------------------------------------------------- phase 1
@@ -124,18 +87,17 @@ class IsolationPass(Pass):
     preserves = ()  # inserts copies, may split blocks: everything is stale
 
     def run(self, ctx) -> None:
-        # Warm-cache fast path (JIT re-translation): incremental liveness
-        # rows, livecheck answer caches and the incremental interference
-        # matrix all survive the insertion as a patch instead of a recompute.
-        patchable = _has_incremental_consumers(ctx)
+        # Warm-cache fast path (JIT re-translation): the livecheck answer
+        # caches survive the insertion as a patch instead of a recompute.
+        checker: Optional[LivenessChecker] = ctx.analyses.cached(LivenessChecker)
 
         insertion = insert_phi_copies(ctx.function, on_branch_def=ctx.config.on_branch_def)
         ctx.insertion = insertion
         ctx.stats.inserted_phi_copies = insertion.inserted_copy_count
         ctx.stats.split_blocks = len(insertion.split_blocks)
 
-        if patchable:
-            _patch_incremental_analyses(ctx, insertion.edit_log())
+        if checker is not None:
+            _patch_warm_analyses(ctx, checker, insertion.edit_log())
 
 
 # --------------------------------------------------------------------------- phase 2
@@ -174,18 +136,12 @@ class InterferencePass(Pass):
         # One dense numbering per run: the same instance backs the bit-set
         # liveness rows (when enabled) and the backend's half bit-matrix.
         backend_class = INTERFERENCE_CLASSES[config.interference]
-        cached_backend = cache.cached(backend_class)
-        if isinstance(cached_backend, IncrementalMatrixInterference):
-            # Warm re-run: the matrix survived the previous run patched; only
-            # candidates it has never seen need their edges scanned in.
-            cached_backend.extend_universe(universe)
-        else:
-            cache.register(
-                backend_class,
-                lambda c, _cls=backend_class, _universe=universe: build_interference_backend(
-                    c, universe=_universe, backend_class=_cls
-                ),
-            )
+        cache.register(
+            backend_class,
+            lambda c, _cls=backend_class, _universe=universe: build_interference_backend(
+                c, universe=_universe, backend_class=_cls
+            ),
+        )
         test = cache.get(backend_class)
         stats.interference_backend = config.interference
 
@@ -259,10 +215,10 @@ class MaterializationPass(Pass):
         # when someone can query the cache after the run (a caller-owned,
         # warm cache); for run-private caches it would be pure edit-logging
         # overhead on the hottest engines, so it is skipped.
-        include_checker = ctx.external_cache
-        edit_log = (
-            EditLog() if _has_incremental_consumers(ctx, include_checker) else None
+        checker: Optional[LivenessChecker] = (
+            ctx.analyses.cached(LivenessChecker) if ctx.external_cache else None
         )
+        edit_log = EditLog() if checker is not None else None
 
         rename_map = build_rename_map(function, ctx.classes)
         shared_destinations = {
@@ -278,9 +234,9 @@ class MaterializationPass(Pass):
         if edit_log is not None:
             if rename_map:
                 edit_log.variables_renamed(rename_map)
-            # The translated function's analyses are served patched, not
+            # The translated function's checker is served patched, not
             # recomputed — e.g. to a register allocator running next.
-            _patch_incremental_analyses(ctx, edit_log, include_checker)
+            _patch_warm_analyses(ctx, checker, edit_log)
 
         stats.pair_queries = ctx.classes.pair_queries
         stats.class_row_checks = ctx.classes.class_row_checks
@@ -328,7 +284,7 @@ def materialize(
     When ``edit_log`` is given, every block whose instruction list changed is
     logged (with the φ/parallel-copy variables involved); the caller combines
     that with one ``variables_renamed`` entry for the rename map, which is
-    what lets an incremental liveness patch itself over the materialized
+    what lets the liveness checker patch its caches over the materialized
     program.
 
     When ``lowered`` is given (a checked run), every lowered parallel copy

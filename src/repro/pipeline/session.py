@@ -11,13 +11,12 @@ engine, many functions through it.
 Warm mode (``Session(engine, warm=True)``) additionally retains one
 :class:`~repro.pipeline.analysis.AnalysisCache` per *function object* and
 hands it back to the pipeline on every translation of that function — the
-JIT re-translation shape: the incremental liveness rows, the ``check``
-backend's answer caches and the incremental interference matrix survive a
+JIT re-translation shape: the ``check`` backend's answer caches survive a
 whole translation patched (the passes feed them their edit logs) and are
-served warm on the next run instead of being rebuilt cold.  Between runs,
-:meth:`Session.apply_edits` feeds externally-made structural edits (described
-as an :class:`~repro.ir.editlog.EditLog`, exactly as the passes describe
-their own) to every retained incremental analysis.  The translation *service*
+served warm on the next run; every other analysis is rebuilt cold.  Between
+runs, :meth:`Session.apply_edits` feeds externally-made structural edits
+(described as an :class:`~repro.ir.editlog.EditLog`, exactly as the passes
+describe their own) to the retained checker.  The translation *service*
 (:mod:`repro.service`) runs entirely on this mode.
 """
 
@@ -25,12 +24,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.interference.graph import IncrementalMatrixInterference
 from repro.ir.editlog import EditLog
 from repro.ir.function import Function
-from repro.liveness.incremental import IncrementalBitLiveness
 from repro.liveness.livecheck import LivenessChecker
-from repro.liveness.numbering import VariableNumbering
 from repro.outofssa.config import DEFAULT_ENGINE
 from repro.outofssa.result import OutOfSSAResult
 from repro.pipeline.analysis import AnalysisCache
@@ -124,15 +120,12 @@ class Session:
     def apply_edits(self, function: Function, log: EditLog) -> None:
         """Patch the retained analyses of ``function`` from an edit log.
 
-        Mirrors what the isolation/materialization passes do for their own
-        edits: every cached analysis able to consume an edit log is patched
-        in place (incremental liveness rows first — the matrix locates its
-        dirty blocks through them — then the ``check`` backend's answer
-        caches, then the incremental interference matrix) and re-stamped at
-        the function's current generation; everything else is invalidated.
-        The next :meth:`translate` of the function then starts warm instead
-        of tripping the :class:`~repro.pipeline.analysis.StaleAnalysisError`
-        guard or silently rebuilding cold.
+        The ``check`` backend's answer caches are patched in place and
+        re-stamped at the function's current generation; everything else is
+        invalidated and rebuilt cold by the next :meth:`translate`, which
+        therefore neither trips the
+        :class:`~repro.pipeline.analysis.StaleAnalysisError` guard nor reuses
+        a stale analysis.
         """
         cache = self._warm_caches.get(function)
         if cache is None:
@@ -141,20 +134,10 @@ class Session:
                 f"(is this a warm session that translated it?)"
             )
         patched: List[type] = []
-        live = cache.cached(IncrementalBitLiveness)
-        if live is not None:
-            live.apply_edits(log)
-            patched.extend([IncrementalBitLiveness, VariableNumbering])
         checker = cache.cached(LivenessChecker)
         if checker is not None:
             checker.apply_edits(log)
             patched.append(LivenessChecker)
-        matrix = cache.cached(IncrementalMatrixInterference)
-        if matrix is not None:
-            if matrix.oracle.liveness is not live:
-                matrix.oracle.liveness.apply_edits(log)
-            matrix.apply_edits(log)
-            patched.extend([IncrementalMatrixInterference, VariableNumbering])
         cache.invalidate_all(preserve=patched)
 
     # -- aggregates -----------------------------------------------------------

@@ -16,11 +16,10 @@ result, the cache can retain the per-key :class:`WarmState`: the translated
 :class:`~repro.ir.function.Function` object together with the
 :class:`~repro.pipeline.analysis.AnalysisCache` the warm
 :class:`~repro.pipeline.session.Session` drove through the pipeline.  That
-cache left the run *patched* — the incremental liveness rows, the ``check``
-backend's answer caches and the incremental interference matrix were fed the
-passes' edit logs and re-stamped via the generation-stamp machinery — so a
-JIT-style *edit and re-translate* of a hot function skips the cold
-liveness/interference rebuilds entirely (see
+cache left the run *patched* — the ``check`` backend's answer caches were
+fed the passes' edit logs and re-stamped via the generation-stamp
+machinery — so a JIT-style *edit and re-translate* of a hot function skips
+the parse and keeps those caches; every other analysis is rebuilt cold (see
 ``Session.apply_edits`` / ``TranslationService.retranslate``).
 
 Eviction is LRU over completed results with the warm state evicted alongside

@@ -21,9 +21,10 @@ The request lifecycle (``translate_text``):
 :meth:`TranslationService.retranslate` is the JIT path over the warm state:
 the caller edits the hot function in place, describes the edits as an
 :class:`~repro.ir.editlog.EditLog` (exactly as the passes describe their
-own), and the service patches the retained incremental analyses from the log
-before running the pipeline again — no cold liveness or interference rebuild
-happens anywhere on that path.
+own), and the service patches the retained ``check`` backend's answer caches
+from the log before running the pipeline again over the same analysis
+cache; every other analysis is rebuilt cold, so the result is the cold
+translation of the edited program by construction.
 """
 
 from __future__ import annotations
@@ -240,12 +241,12 @@ class TranslationService:
         ``digest``/``engine`` name the warm state retained by a previous
         cold translation; the caller has already applied its structural
         edits to that state's function object and describes them with
-        ``edit_log``.  The retained incremental analyses are patched from
-        the log (never rebuilt), the pipeline runs again over the same
-        analysis cache, and the result is stored under the *edited*
-        program's digest — exactly what a cold translation of the edited
-        text would have been keyed as, and property-tested bit-identical
-        to it.
+        ``edit_log``.  The retained ``check`` caches are patched from the
+        log, every other analysis is invalidated, the pipeline runs again
+        over the same analysis cache, and the result is stored under the
+        *edited* program's digest — exactly what a cold translation of the
+        edited text would have been keyed as, and property-tested
+        bit-identical to it.
         """
         began = time.perf_counter()
         config = self._resolve(engine)

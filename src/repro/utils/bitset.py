@@ -277,24 +277,6 @@ class BitMatrix:
                 bits |= 1 << other
         return bits
 
-    def clear_all(self, index: int) -> None:
-        """Drop every pair involving ``index`` (row and column bits)."""
-        if index < 0 or index >= self._size:
-            return
-        self._rows[index] = 0
-        keep = ~(1 << index)
-        for other in range(index + 1, self._size):
-            self._rows[other] &= keep
-
-    def row_bits(self) -> list:
-        """The raw half-matrix rows (one int mask per index), lowest first.
-
-        Two matrices over the *same* index assignment are bit-identical iff
-        these lists are equal — the comparison the incremental-rebuild
-        identity tests use.
-        """
-        return list(self._rows)
-
     def footprint_bytes(self) -> int:
         """Current idealised footprint of the half matrix (kept incrementally:
         ``add_variable`` reads it before/after every grow)."""

@@ -10,8 +10,8 @@ invariants with stable error codes:
   severity, function/block/instruction anchors) and the :class:`VerifyReport`
   a checked run accumulates instead of raising on the first finding;
 * :mod:`repro.verify.checks` — the checker passes themselves (structural,
-  strict SSA, CSSA, congruence-class consistency, incremental cross-checks,
-  final-output checks, interpreter differential);
+  strict SSA, CSSA, congruence-class consistency, final-output checks,
+  interpreter differential);
 * :mod:`repro.verify.stages` — the :class:`PipelineVerifier` the
   :class:`~repro.pipeline.pipeline.PassManager` calls between phases when
   ``EngineConfig.verify_level`` is ``fast`` or ``full``;

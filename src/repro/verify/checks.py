@@ -310,67 +310,6 @@ def check_congruence_classes(
     return found
 
 
-# --------------------------------------------------------------------------- V45x incremental
-def check_incremental_liveness(function: Function, live, stage: str = "coalesce") -> List[Diagnostic]:
-    """Patched bit-liveness rows must bit-equal a cold recompute.
-
-    ``live`` is an :class:`~repro.liveness.incremental.IncrementalBitLiveness`
-    whose rows were maintained from pass edit logs; the cold solve shares its
-    (append-only) numbering so the raw ``int`` rows compare directly.
-    """
-    from repro.liveness.bitsets import BitLivenessSets
-
-    found: List[Diagnostic] = []
-    cold = BitLivenessSets(function, numbering=live.numbering)
-    for label in function.blocks:
-        warm_in = live._bits_in.get(label, 0)
-        warm_out = live._bits_out.get(label, 0)
-        cold_in = cold._bits_in.get(label, 0)
-        cold_out = cold._bits_out.get(label, 0)
-        if warm_in != cold_in or warm_out != cold_out:
-            found.append(diagnostic(
-                "V451",
-                f"patched liveness rows of block {label!r} differ from a cold "
-                f"recompute (in {warm_in:#x} vs {cold_in:#x}, "
-                f"out {warm_out:#x} vs {cold_out:#x})",
-                function=function.name, block=label, stage=stage,
-            ))
-    return found
-
-
-def check_incremental_matrix(function: Function, matrix, stage: str = "coalesce") -> List[Diagnostic]:
-    """A patched interference matrix must bit-equal a cold rebuild.
-
-    Mirrors the stress harness's identity check: the cold matrix is built
-    over the warm graph's exact universe ordering (same slot assignment) and
-    the warm backend's own value table, so the half-matrix rows compare
-    bit-for-bit.
-    """
-    from repro.interference.graph import MatrixInterference
-    from repro.liveness.bitsets import BitLivenessSets
-    from repro.liveness.intersection import IntersectionOracle
-
-    cold_live = BitLivenessSets(function)
-    cold = MatrixInterference(
-        function,
-        IntersectionOracle(function, cold_live),
-        matrix.kind,
-        values=matrix.values,
-        universe=matrix.graph.variables(),
-    )
-    warm_rows = matrix.graph.row_bits()
-    cold_rows = cold.graph.row_bits()
-    if warm_rows == cold_rows:
-        return []
-    differing = sum(1 for w, c in zip(warm_rows, cold_rows) if w != c)
-    return [diagnostic(
-        "V452",
-        f"patched interference matrix differs from a cold scan in "
-        f"{differing} of {len(warm_rows)} rows",
-        function=function.name, stage=stage,
-    )]
-
-
 # --------------------------------------------------------------------------- V50x final output
 def check_no_ssa_residue(function: Function, stage: str = "output") -> List[Diagnostic]:
     """The translated output may contain no φ-functions or parallel copies."""

@@ -12,8 +12,8 @@ Error codes are grouped by the pipeline layer whose invariant they report:
 ``V10x``   structural IR invariants (terminators, branch targets, φ coverage)
 ``V2xx``   strict SSA form (single defs, dominance property, reachability)
 ``V3xx``   conventional SSA after isolation (φ-web interference freedom)
-``V4xx``   coalescing: congruence-class consistency and the incremental
-           analysis cross-checks (``V45x``)
+``V4xx``   coalescing: congruence-class consistency (``V451``/``V452``
+           are retired and never reused)
 ``V5xx``   final output: no φ/pcopy residue, sequentialization permutation,
            interpreter differential
 ``V6xx``   service-level checks (cached translation vs cold retranslation)
@@ -41,7 +41,7 @@ class Severity(enum.Enum):
 
 
 #: code -> (default severity, one-line description).  Stable: codes are never
-#: renumbered, only added.
+#: renumbered or reused; retired codes (V451, V452) are simply absent.
 CODE_CATALOGUE: Dict[str, tuple] = {
     # -- V10x structural -------------------------------------------------------
     "V101": (Severity.ERROR, "function has no blocks"),
@@ -63,8 +63,6 @@ CODE_CATALOGUE: Dict[str, tuple] = {
     "V401": (Severity.ERROR, "congruence class contains interfering members"),
     "V402": (Severity.ERROR, "class slot/adjacency masks disagree with the matrix"),
     "V403": (Severity.ERROR, "congruence classes do not partition the variables"),
-    "V451": (Severity.ERROR, "patched liveness rows differ from a cold recompute"),
-    "V452": (Severity.ERROR, "patched interference matrix differs from a cold scan"),
     # -- V5xx final output -----------------------------------------------------
     "V501": (Severity.ERROR, "phi-function remains in the translated output"),
     "V502": (Severity.ERROR, "parallel copy remains in the translated output"),

@@ -2,9 +2,8 @@
 
 Each :class:`SeededFault` deliberately corrupts one invariant of a running
 translation — dropping an isolation copy, merging interfering congruence
-classes, stale-patching a liveness row, reordering a sequentialized copy
-group — by injecting a mutator pass at a chosen point of the pipeline.  The
-tests assert two things:
+classes, reordering a sequentialized copy group — by injecting a mutator
+pass at a chosen point of the pipeline.  The tests assert two things:
 
 * every fault is *detected*: its expected diagnostic code appears in the
   checked run's report;
@@ -13,8 +12,8 @@ tests assert two things:
 
 The mutators operate below the IR's structural-edit API on purpose (raw
 ``dict``/``list`` mutation, no ``invalidate_cfg``): they simulate exactly the
-silent drift — a pass forgetting to log an edit, a patched analysis going
-stale — that the verifier exists to catch.
+silent drift — a pass forgetting to log an edit, a class merge skipping its
+interference check — that the verifier exists to catch.
 """
 
 from __future__ import annotations
@@ -165,31 +164,6 @@ def _corrupt_partition(ctx) -> None:
     second.members.append(first.members[0])
 
 
-def _stale_liveness_row(ctx) -> None:
-    """Flip a bit of a patched incremental liveness row (V451)."""
-    from repro.liveness.incremental import IncrementalBitLiveness
-
-    live = ctx.analyses.cached(IncrementalBitLiveness)
-    if live is None:
-        raise AssertionError("engine has no incremental liveness")
-    label = next(iter(ctx.function.blocks))
-    live._bits_in[label] = live._bits_in.get(label, 0) ^ 1
-
-
-def _stale_matrix_row(ctx) -> None:
-    """Add a bogus edge to the patched interference matrix (V452)."""
-    from repro.interference.graph import IncrementalMatrixInterference
-
-    test = ctx.test
-    if not isinstance(test, IncrementalMatrixInterference):
-        raise AssertionError("engine has no incremental interference matrix")
-    for a, b in combinations(test.graph.variables(), 2):
-        if not test.graph.interferes(a, b):
-            test.graph.add_edge(a, b)
-            return
-    raise AssertionError("matrix is complete; cannot add an edge")
-
-
 def _leave_phi(ctx) -> None:
     """Sneak a φ-function back into the translated output (V501)."""
     function = ctx.function
@@ -260,14 +234,6 @@ def _swap_branch_targets(ctx) -> None:
 
 
 # --------------------------------------------------------------------------- catalogue
-def _incremental_liveness_engine() -> EngineConfig:
-    return EngineConfig.builder("us_i").liveness("incremental").build()
-
-
-def _incremental_matrix_engine() -> EngineConfig:
-    return EngineConfig.builder("us_i").interference("incremental").build()
-
-
 #: The full fault catalogue the tests sweep.
 SEEDED_FAULTS: List[SeededFault] = [
     SeededFault(
@@ -293,14 +259,6 @@ SEEDED_FAULTS: List[SeededFault] = [
     SeededFault(
         name="corrupt_partition", expected_code="V403", stage="coalesce",
         mutate=_corrupt_partition,
-    ),
-    SeededFault(
-        name="stale_liveness_row", expected_code="V451", stage="coalesce",
-        mutate=_stale_liveness_row, engine=_incremental_liveness_engine(),
-    ),
-    SeededFault(
-        name="stale_matrix_row", expected_code="V452", stage="coalesce",
-        mutate=_stale_matrix_row, engine=_incremental_matrix_engine(),
     ),
     SeededFault(
         name="leave_phi", expected_code="V501", stage="materialize",

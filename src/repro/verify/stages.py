@@ -12,10 +12,9 @@ the configured level:
 ``full``
     Everything ``fast`` does, plus strict-SSA on input and after isolation,
     φ-web interference freedom after isolation (CSSA), congruence-class
-    consistency after coalescing, bit-equality cross-checks of incrementally
-    patched liveness/interference state against cold recomputes, the
-    sequentialization permutation check, and an interpreter differential of
-    the output against a snapshot of the source program.
+    consistency after coalescing, the sequentialization permutation check,
+    and an interpreter differential of the output against a snapshot of the
+    source program.
 
 Checks are keyed on *the pass about to run* (``before_pass``) rather than the
 pass that just finished, so anything that mutates the function between two
@@ -144,9 +143,6 @@ class PipelineVerifier:
     def _check_coalescing(self, ctx) -> None:
         if self.level != "full":
             return
-        from repro.interference.graph import IncrementalMatrixInterference
-        from repro.liveness.incremental import IncrementalBitLiveness
-
         function = ctx.function
         test = ctx.test
         classes = ctx.classes
@@ -165,18 +161,3 @@ class PipelineVerifier:
                         classes, test, function, check_interference=ssa_input
                     )
             self._run_stage("coalesce", run_classes)
-
-        live = ctx.analyses.cached(IncrementalBitLiveness)
-        if live is not None:
-            self._run_stage(
-                "coalesce", lambda: checks.check_incremental_liveness(function, live)
-            )
-        matrix = (
-            test
-            if isinstance(test, IncrementalMatrixInterference)
-            else ctx.analyses.cached(IncrementalMatrixInterference)
-        )
-        if matrix is not None:
-            self._run_stage(
-                "coalesce", lambda: checks.check_incremental_matrix(function, matrix)
-            )

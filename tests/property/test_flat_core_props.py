@@ -6,13 +6,12 @@ Three claims are checked over randomized inputs:
    back to exactly the object graph it was lowered from: CFG edges (order
    included), per-instruction def/use rows, the liveness transfer masks and
    φ-edge masks (diffed against ``BitLivenessSets`` over the same
-   numbering), and the SCC partition (diffed against the object-graph
-   Tarjan) — on the stress corpus, the φ-carrying generator programs, and
-   the paper's gallery figures.
+   numbering) — on the stress corpus, the φ-carrying generator programs,
+   and the paper's gallery figures.
 2. *EditLog patching* — after an arbitrary sequence of materialization-shaped
    edit batches, :meth:`FlatFunction.apply_edits` leaves the arena
    table-for-table equal to a fresh lowering of the edited function over the
-   same numbering (the PR 3–4 incremental seam contract).
+   same numbering (the edit-log seam contract).
 3. *Cross-core bit-identity* — the full out-of-SSA pipeline produces the
    same output IR text and the same stats counters (timing and
    representation-provenance fields excepted) under ``core="flat"`` and
@@ -29,7 +28,6 @@ from hypothesis import strategies as st
 from repro.bench.corpus import CorpusSpec, generate_stress_cfg, random_edit_batch
 from repro.bench.generator import GeneratorConfig, generate_ssa_program
 from repro.bench.harness import _CORE_TIMING_FIELDS
-from repro.cfg.scc import strongly_connected_components
 from repro.gallery import (
     figure1_branch_use,
     figure2_branch_with_decrement,
@@ -110,12 +108,6 @@ def assert_roundtrip(function):
     for label in function.blocks:
         assert flat.block_masks(label) == bits._masks[label], label
     assert flat.phi_edge == bits._phi_edge
-
-    # SCC partition over the arena's edge table == the object-graph Tarjan
-    # (same component emission order, same member order).
-    labels = flat.labels
-    from_flat = [[labels[member] for member in comp] for comp in flat.components()]
-    assert from_flat == strongly_connected_components(function)
     return flat
 
 

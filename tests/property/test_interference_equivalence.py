@@ -1,21 +1,16 @@
-"""Property tests: the three interference backends are *exactly* equivalent.
+"""Property tests: the two interference backends are *exactly* equivalent.
 
-The pluggable stack (``matrix`` / ``query`` / ``incremental``) is only a
-representation choice — the paper's point is that the graph can be dropped
-without changing a single verdict.  Three claims are checked over randomized
-inputs (mirroring ``tests/property/test_liveness_equivalence.py`` for the
-liveness stack):
+The pluggable stack (``matrix`` / ``query``) is only a representation choice —
+the paper's point is that the graph can be dropped without changing a single
+verdict.  Two claims are checked over randomized inputs (mirroring
+``tests/property/test_liveness_equivalence.py`` for the liveness stack):
 
-1. *Verdict equality* — on arbitrary generator programs, all three backends
+1. *Verdict equality* — on arbitrary generator programs, both backends
    answer every pairwise ``interferes`` query identically, under every
    interference notion.
 2. *Bit-identical translations* — every Figure 6/7 engine configuration
    produces byte-for-byte the same out-of-SSA output whichever backend it
    runs on.
-3. *Incremental bit-identity* — after an arbitrary sequence of logged edit
-   batches, the patched matrix of ``IncrementalMatrixInterference`` equals a
-   cold ``matrix`` rebuild of the edited function, row for row over the same
-   slot assignment.
 """
 
 import itertools
@@ -24,22 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.corpus import CorpusSpec, generate_stress_cfg, random_edit_batch
 from repro.bench.generator import GeneratorConfig, generate_ssa_program
 from repro.cfg.dominance import DominatorTree
 from repro.interference.base import InterferenceKind, QueryInterference
-from repro.interference.graph import IncrementalMatrixInterference, MatrixInterference
+from repro.interference.graph import MatrixInterference
 from repro.ir.printer import format_function
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
-from repro.liveness.incremental import IncrementalBitLiveness
 from repro.liveness.intersection import IntersectionOracle
 from repro.outofssa.config import ENGINE_CONFIGURATIONS, EngineConfig
 from repro.outofssa.method_i import insert_phi_copies
 from repro.pipeline import Pipeline
 from repro.ssa.values import ValueTable
 
-BACKEND_NAMES = ("matrix", "query", "incremental")
+BACKEND_NAMES = ("matrix", "query")
 
 
 def _backends(function, kind):
@@ -54,11 +47,7 @@ def _backends(function, kind):
         function, IntersectionOracle(function, BitLivenessSets(function), domtree),
         kind, values,
     )
-    incremental = IncrementalMatrixInterference(
-        function, IntersectionOracle(function, IncrementalBitLiveness(function), domtree),
-        kind, values,
-    )
-    return {"query": query, "matrix": matrix, "incremental": incremental}
+    return {"query": query, "matrix": matrix}
 
 
 @settings(max_examples=20, deadline=None)
@@ -83,7 +72,7 @@ def test_backends_agree_on_every_pairwise_verdict(seed, size, kind, after_phi_co
 
 @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
 def test_every_engine_translates_bit_identically_under_all_backends(config):
-    """All seven Figure 6/7 engines x all three backends: same final program."""
+    """All seven Figure 6/7 engines x both backends: same final program."""
     for seed in (3, 11, 29):
         program = generate_ssa_program(GeneratorConfig(seed=seed, size=30))
         outputs = {}
@@ -92,39 +81,6 @@ def test_every_engine_translates_bit_identically_under_all_backends(config):
             derived = EngineConfig.builder(config).interference(backend).build()
             Pipeline.for_engine(derived).run(function)
             outputs[backend] = format_function(function)
-        assert outputs["matrix"] == outputs["query"] == outputs["incremental"], (
+        assert outputs["matrix"] == outputs["query"], (
             f"{config.name} diverged across backends on seed {seed}"
-        )
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    blocks=st.integers(min_value=8, max_value=100),
-    depth=st.integers(min_value=1, max_value=5),
-    batches=st.integers(min_value=1, max_value=4),
-)
-def test_incremental_matrix_is_bit_identical_on_random_edit_sequences(
-    seed, blocks, depth, batches
-):
-    function = generate_stress_cfg(
-        CorpusSpec(seed=seed, blocks=blocks, loop_depth=depth, variables=6)
-    )
-    live = IncrementalBitLiveness(function)
-    warm = IncrementalMatrixInterference(
-        function, IntersectionOracle(function, live), InterferenceKind.INTERSECT
-    )
-    for batch in range(batches):
-        log = random_edit_batch(function, seed=seed ^ (batch + 1))
-        live.apply_edits(log)
-        warm.apply_edits(log)
-        cold = MatrixInterference(
-            function,
-            IntersectionOracle(function, BitLivenessSets(function)),
-            InterferenceKind.INTERSECT,
-            universe=warm.graph.variables(),
-        )
-        assert warm.graph.row_bits() == cold.graph.row_bits(), (
-            f"matrix diverged from cold rebuild after batch {batch} "
-            f"(seed {seed}, {blocks} blocks)"
         )

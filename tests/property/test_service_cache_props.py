@@ -2,10 +2,10 @@
 
 The content-addressed cache and the warm machinery behind it are pure
 representation choices — a served translation must be indistinguishable from
-a cold one.  Four claims:
+a cold one.  Five claims:
 
 1. *Warm ≡ cold for every engine* — for all seven Figure 6/7 engine
-   configurations × all three interference backends, the service's cold
+   configurations × both interference backends, the service's cold
    response equals a direct cold pipeline run of the same text, and the
    subsequent cache hit returns byte-identical text.
 2. *Randomized streams* — under arbitrary interleavings of programs,
@@ -18,19 +18,27 @@ a cold one.  Four claims:
 4. *Behavioural differential* — interpreting cached vs freshly translated
    outputs on corpus samples yields the same observable behaviour (return
    value + print trace), under every engine.
+5. *Warm retranslation ≡ cold* — after every batch of a random sequence of
+   materialization-shaped edits to a hot stress-corpus function,
+   ``TranslationService.retranslate`` returns exactly the IR text and stats
+   counters a fresh :class:`~repro.pipeline.Session` produces for an
+   in-memory copy of the edited function (Hypothesis-driven, all seven
+   engines).
 """
 
 import itertools
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.corpus import CorpusSpec, generate_stress_cfg, random_edit_batch
 from repro.bench.generator import GeneratorConfig, generate_ssa_program
 from repro.interp import run_function
 from repro.ir import format_function, parse_function
 from repro.outofssa.config import ENGINE_CONFIGURATIONS, EngineConfig, INTERFERENCE_BACKENDS
-from repro.pipeline import Pipeline
+from repro.pipeline import Pipeline, Session
 from repro.service import TranslationService
 
 ENGINE_BACKEND_MATRIX = [
@@ -53,7 +61,7 @@ def _cold_reference(text: str, config: EngineConfig) -> str:
 
 @pytest.mark.parametrize("config, backend", ENGINE_BACKEND_MATRIX)
 def test_warm_cache_is_bit_identical_to_cold_for_every_engine(config, backend):
-    """All 7 engines × all 3 interference backends: cold response == direct
+    """All 7 engines × both interference backends: cold response == direct
     pipeline output, hit response == cold response, byte for byte."""
     derived = EngineConfig.builder(config).interference(backend).build()
     service = TranslationService(derived)
@@ -131,3 +139,47 @@ def test_cached_outputs_behave_like_fresh_outputs(config):
         assert cached_behaviour == fresh_behaviour == expected, (
             f"{config.name}: cached and fresh outputs behave differently (seed {seed})"
         )
+
+
+#: Stats fields that measure wall-clock time, not the translation itself.
+_TIMING_FIELDS = ("elapsed_seconds", "lowering_ms", "verify_ms")
+
+
+def _counters(stats) -> dict:
+    return {name: value for name, value in stats.items() if name not in _TIMING_FIELDS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    engine=st.sampled_from(ENGINE_CONFIGURATIONS),
+    seed=st.integers(min_value=0, max_value=2**16),
+    blocks=st.integers(min_value=8, max_value=300),
+    depth=st.integers(min_value=1, max_value=5),
+    irreducible=st.sampled_from([0.0, 0.05, 0.1, 0.15]),
+    batch_seeds=st.lists(st.integers(min_value=0, max_value=2**16), min_size=1, max_size=4),
+)
+def test_retranslate_is_bit_identical_to_cold(
+    engine, seed, blocks, depth, irreducible, batch_seeds
+):
+    service = TranslationService(engine)
+    function = generate_stress_cfg(
+        CorpusSpec(
+            seed=seed, blocks=blocks, loop_depth=depth, variables=6,
+            irreducible=irreducible,
+        )
+    )
+    result = service.translate_function(function)
+    for step, batch_seed in enumerate(batch_seeds):
+        state = service.cache.warm_state(result.digest, result.fingerprint)
+        log = random_edit_batch(state.function, seed=batch_seed)
+        cold_copy = state.function.copy()      # preserves fresh-name counters
+        result = service.retranslate(result.digest, log)
+        cold = Session(engine).translate(cold_copy)
+        assert result.kind == "warm"
+        assert result.ir_text == format_function(cold_copy), (
+            f"{engine.name}: warm retranslation diverged from cold at step {step}"
+        )
+        assert _counters(result.stats) == _counters(asdict(cold.stats)), (
+            f"{engine.name}: warm stats diverged from cold at step {step}"
+        )
+

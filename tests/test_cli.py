@@ -50,7 +50,7 @@ class TestTranslate:
         assert main(["translate", lost_copy_file, "--variant", "intersect"]) == 0
         assert "phi" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("backend", ["sets", "bitsets", "check", "incremental"])
+    @pytest.mark.parametrize("backend", ["sets", "bitsets", "check"])
     def test_translate_with_liveness_backend(self, lost_copy_file, capsys, backend):
         assert main([
             "translate", lost_copy_file, "--engine", "us_i", "--liveness", backend, "--stats",
@@ -109,8 +109,12 @@ class TestRunAndBenchAndList:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "liveness backends" in out
-        for backend in ("sets", "bitsets", "check", "incremental"):
+        for backend in ("sets", "bitsets", "check"):
             assert backend in out
+
+    def test_removed_incremental_liveness_is_an_unknown_backend(self, lost_copy_file):
+        with pytest.raises(SystemExit, match="unknown liveness backend 'incremental'"):
+            main(["translate", lost_copy_file, "--liveness", "incremental"])
 
     def test_unknown_benchmark_is_a_clean_system_exit(self):
         with pytest.raises(SystemExit, match="unknown benchmark"):
@@ -125,23 +129,23 @@ class TestShippedExample:
         path = os.path.join(
             os.path.dirname(__file__), "..", "examples", "lost_copy.ir"
         )
-        assert main(["translate", path, "--liveness", "incremental"]) == 0
+        assert main(["translate", path, "--liveness", "bitsets"]) == 0
         assert "phi" not in capsys.readouterr().out
 
 
 class TestStress:
     def test_stress_prints_the_table(self, capsys):
-        assert main(["stress", "--blocks", "80,120", "--repeats", "1"]) == 0
+        assert main(["stress", "--blocks", "80,120"]) == 0
         out = capsys.readouterr().out
-        assert "cold rpo (ms)" in out and "speedup" in out
+        assert "overhead" in out and "diags" in out and " fast " in out
 
     def test_stress_writes_output_file(self, tmp_path, capsys):
         path = tmp_path / "stress.txt"
         assert main([
-            "stress", "--blocks", "80", "--repeats", "1", "--output", str(path),
+            "stress", "--blocks", "80", "--verify", "full", "--output", str(path),
         ]) == 0
         capsys.readouterr()
-        assert "incremental (ms)" in path.read_text()
+        assert " full " in path.read_text()
 
     def test_stress_rejects_bad_blocks(self):
         with pytest.raises(SystemExit, match="invalid --blocks"):
@@ -163,8 +167,8 @@ class TestListJson:
         assert len(us_i["fingerprint"]) == 16
         fingerprints = {engine["fingerprint"] for engine in engines.values()}
         assert len(fingerprints) == len(engines)
-        assert set(catalogue["interference_backends"]) == {"matrix", "query", "incremental"}
-        assert set(catalogue["liveness_backends"]) == {"sets", "bitsets", "check", "incremental"}
+        assert set(catalogue["interference_backends"]) == {"matrix", "query"}
+        assert set(catalogue["liveness_backends"]) == {"sets", "bitsets", "check"}
 
 
 class TestServiceCommands:
@@ -225,13 +229,13 @@ class TestServiceCommands:
 class TestInterferenceFlag:
     def test_translate_with_each_interference_backend(self, lost_copy_file, capsys):
         outputs = []
-        for backend in ("matrix", "query", "incremental"):
+        for backend in ("matrix", "query"):
             assert main([
                 "translate", lost_copy_file, "--engine", "us_i",
                 "--interference", backend,
             ]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_translate_rejects_unknown_interference(self, lost_copy_file, capsys):
         with pytest.raises(SystemExit):
@@ -241,21 +245,5 @@ class TestInterferenceFlag:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "interference backends (--interference):" in out
-        for backend in ("matrix", "query", "incremental"):
+        for backend in ("matrix", "query"):
             assert backend in out
-
-    def test_stress_interference_experiment(self, capsys):
-        assert main([
-            "stress", "--blocks", "80", "--repeats", "1",
-            "--experiment", "interference",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "incremental (ms)" in out and "matrix (KiB)" in out
-
-    def test_stress_both_experiments(self, capsys):
-        assert main([
-            "stress", "--blocks", "80", "--repeats", "1", "--experiment", "both",
-            "--irreducible", "0.4",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "cold rpo (ms)" in out and "matrix (KiB)" in out

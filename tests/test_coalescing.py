@@ -25,7 +25,7 @@ def v(name: str) -> Variable:
 def figure5_config(variant_name: str) -> EngineConfig:
     return EngineConfig(
         name=f"test_{variant_name}", label=variant_name, coalescing=variant_name,
-        liveness="check", use_interference_graph=False, linear_class_check=False,
+        liveness="check", interference="query", linear_class_check=False,
     )
 
 

@@ -199,26 +199,12 @@ class TestOrderKeyMemoization:
                 sorted(cls.members, key=oracle.dominance_order_key)
             assert oracle.order_key_computations == before
 
-    def test_invalidate_keys_drops_only_affected(self):
-        function = straight_line_copies()
-        oracle = IntersectionOracle(function, LivenessSets(function))
-        key_a = oracle.dominance_order_key(v("a"))
-        oracle.dominance_order_key(v("b"))
-        assert oracle.order_key_computations == 2
-        oracle.invalidate_keys([v("a")])
-        assert oracle.dominance_order_key(v("b")) is not None
-        assert oracle.order_key_computations == 2      # b was still cached
-        assert oracle.dominance_order_key(v("a")) == key_a
-        assert oracle.order_key_computations == 3      # a was recomputed
-
     def test_dominates_is_memoized(self):
         function = straight_line_copies()
         oracle = IntersectionOracle(function, LivenessSets(function))
         assert oracle.dominates(v("a"), v("b"))
         assert (v("a"), v("b")) in oracle._dominates_memo
         assert oracle.dominates(v("a"), v("b"))
-        oracle.invalidate_keys()
-        assert not oracle._dominates_memo
 
 
 # --------------------------------------------------------------------------- class rows

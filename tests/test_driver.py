@@ -39,8 +39,8 @@ class TestEngineConfigurations:
             "us_i",
             "us_i_linear_intercheck_livecheck",
         ]
-        assert engine_by_name("us_i").use_interference_graph
-        assert not engine_by_name("us_i_linear_intercheck_livecheck").use_interference_graph
+        assert engine_by_name("us_i").interference == "matrix"
+        assert engine_by_name("us_i_linear_intercheck_livecheck").interference == "query"
         assert engine_by_name("us_iii_intercheck_livecheck").liveness == "check"
         with pytest.raises(KeyError):
             engine_by_name("does_not_exist")

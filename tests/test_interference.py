@@ -58,12 +58,12 @@ class TestInterferenceDefinitions:
             assert not tests[kind].interferes(v("a"), v("a"))
 
     def test_value_requires_value_table(self):
-        from repro.interference.definitions import InterferenceTest
+        from repro.interference.base import QueryInterference
 
         function = straight_line_copies()
         oracle = IntersectionOracle(function, LivenessSets(function))
         with pytest.raises(ValueError):
-            InterferenceTest(function, oracle, InterferenceKind.VALUE, values=None)
+            QueryInterference(function, oracle, InterferenceKind.VALUE, values=None)
 
 
 class TestInterferenceGraph:
@@ -117,7 +117,7 @@ class TestInterferenceGraph:
 
 # --------------------------------------------------------------------------- backends
 class TestInterferenceBackends:
-    """The pluggable backend protocol: matrix/query/incremental surfaces."""
+    """The pluggable backend protocol: matrix/query surfaces."""
 
     def _oracle(self, function, bitsets=True):
         from repro.liveness.bitsets import BitLivenessSets
@@ -165,26 +165,6 @@ class TestInterferenceBackends:
         assert graph.adjacency_bits(v("c")) == 0b001
         assert graph.adjacency_bits(v("nope")) == 0
 
-    def test_clear_variable_drops_row_and_column(self):
-        graph = InterferenceGraph([v("a"), v("b"), v("c")])
-        graph.add_edge(v("a"), v("b"))
-        graph.add_edge(v("b"), v("c"))
-        graph.clear_variable(v("b"))
-        assert not graph.interferes(v("a"), v("b"))
-        assert not graph.interferes(v("b"), v("c"))
-        assert graph.slot(v("b")) is not None         # the slot survives
-
-    def test_incremental_requires_bitset_liveness(self):
-        from repro.interference.graph import IncrementalMatrixInterference
-        from tests.helpers import loop_function
-
-        function = loop_function()
-        with pytest.raises(ValueError, match="bit-set liveness"):
-            IncrementalMatrixInterference(
-                function, self._oracle(function, bitsets=False),
-                InterferenceKind.INTERSECT,
-            )
-
     def test_matrix_bytes_reported(self):
         from repro.interference.base import QueryInterference
         from repro.interference.graph import MatrixInterference
@@ -212,63 +192,32 @@ class TestInterferenceBackends:
 
 
 class TestBackendConfiguration:
-    def test_engine_config_normalises_legacy_flag(self):
+    def test_engine_config_validates_the_backend(self):
         from repro.outofssa.config import EngineConfig
 
-        config = EngineConfig(name="x", label="x", use_interference_graph=False)
-        assert config.interference == "query"
-        config = EngineConfig(name="x", label="x", interference="incremental")
-        assert config.use_interference_graph
-        with pytest.raises(ValueError, match="unknown interference backend"):
-            EngineConfig(name="x", label="x", interference="bogus")
+        assert EngineConfig(name="x", label="x").interference == "matrix"
+        for kind in ("incremental", "bogus"):
+            with pytest.raises(ValueError, match="unknown interference backend"):
+                EngineConfig(name="x", label="x", interference=kind)
 
     def test_builder_selects_backends(self):
         from repro.outofssa.config import EngineConfig
 
-        config = EngineConfig.builder("us_i").interference("incremental").build()
-        assert config.interference == "incremental"
-        assert "incremental" in config.name
-        assert EngineConfig.builder("us_i").interference_graph(False).build().interference == "query"
-        with pytest.raises(ValueError, match="unknown interference backend"):
-            EngineConfig.builder().interference("bogus")
+        config = EngineConfig.builder("us_i").interference("query").build()
+        assert config.interference == "query"
+        assert config.name == "us_i_intercheck"
+        for kind in ("incremental", "bogus"):
+            with pytest.raises(ValueError, match="unknown interference backend"):
+                EngineConfig.builder().interference(kind)
+
+    def test_removed_incremental_liveness_is_an_unknown_backend(self):
+        from repro.outofssa.config import EngineConfig
+
+        with pytest.raises(ValueError, match="unknown liveness backend 'incremental'"):
+            EngineConfig.builder("us_i").liveness("incremental")
 
     def test_describe_names_the_backend(self):
-        from repro.outofssa.config import EngineConfig, engine_by_name
+        from repro.outofssa.config import engine_by_name
 
         assert "interference graph" in engine_by_name("us_i").describe()
         assert "InterCheck" in engine_by_name("us_i_linear_intercheck_livecheck").describe()
-        incremental = EngineConfig.builder("us_i").interference("incremental").build()
-        assert "incremental interference graph" in incremental.describe()
-
-
-class TestEditMaintenance:
-    def test_apply_edits_resets_dominance_state_on_cfg_changes(self):
-        from repro.interference.base import QueryInterference
-        from repro.ir.editlog import EditLog
-        from repro.liveness.bitsets import BitLivenessSets
-        from tests.helpers import diamond_function
-
-        function = diamond_function()
-        oracle = IntersectionOracle(function, BitLivenessSets(function))
-        backend = QueryInterference(function, oracle, InterferenceKind.INTERSECT)
-        variables = function.variables()
-        oracle.dominance_order_key(variables[0])
-        oracle.dominates(variables[0], variables[1])
-        assert oracle._domtree is not None
-
-        # A pure instruction edit keeps the tree, drops only affected keys.
-        log = EditLog()
-        log.copy_inserted("entry", function.new_variable("p"), variables[0])
-        backend.apply_edits(log)
-        assert oracle._domtree is not None
-
-        # A split edge shifts the preorder under *every* key: the lazily
-        # built tree and all memoized dominance state must go.
-        log = EditLog()
-        new_block = function.split_edge("entry", "left")
-        log.block_split("entry", "left", new_block.label)
-        backend.apply_edits(log)
-        assert oracle._domtree is None
-        assert not oracle._order_keys and not oracle._dominates_memo
-        # Rebuilt lazily on the next dominance query, over the new CFG.
-        assert oracle.dominance_order_key(variables[0]) is not None

@@ -89,6 +89,8 @@ class TestParser:
             ("function f() {\n  entry:\n    ret 1\n", "missing closing brace"),
             ("function f() {\n  entry:\n    pcopy a < b\n}", "bad parallel copy"),
             ("function f() {\n  entry:\n    x = phi [a]\n}", "bad phi argument"),
+            ("function f() {\n  b:\n    ret 1\n  b:\n    ret 2\n}",
+             "line 4: duplicate block label 'b'"),
         ],
     )
     def test_parse_errors(self, bad_text, fragment):

@@ -16,7 +16,7 @@ from repro.gallery import figure3_swap_problem, figure4_lost_copy_problem
 def _quality_config(variant: str) -> EngineConfig:
     return EngineConfig(
         name=f"claim_{variant}", label=variant, coalescing=variant,
-        liveness="check", use_interference_graph=False, linear_class_check=False,
+        liveness="check", interference="query", linear_class_check=False,
     )
 
 
@@ -76,7 +76,7 @@ class TestEfficiencyClaims:
         interference queries than the quadratic one."""
         quadratic = linear = 0
         for function in workload:
-            base = dict(coalescing="value", liveness="check", use_interference_graph=False)
+            base = dict(coalescing="value", liveness="check", interference="query")
             quadratic += destruct_ssa(
                 function.copy(),
                 EngineConfig(name="q", label="q", linear_class_check=False, **base),

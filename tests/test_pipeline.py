@@ -12,7 +12,6 @@ from repro.coalescing.variants import variant_by_name
 from repro.gallery import figure2_branch_with_decrement
 from repro.interference.base import QueryInterference
 from repro.interference.congruence import CongruenceClasses
-from repro.interference.definitions import InterferenceTest
 from repro.interference.graph import InterferenceGraph, MatrixInterference
 from repro.interp import run_function
 from repro.ir import format_function
@@ -169,7 +168,7 @@ class TestSharedNumbering:
     GRAPH_AND_BITSET_ENGINES = [
         config
         for config in ENGINE_CONFIGURATIONS
-        if config.liveness == "bitsets" and config.use_interference_graph
+        if config.liveness == "bitsets" and config.interference == "matrix"
     ]
 
     def test_the_paper_engines_include_graph_and_bitset_configs(self):
@@ -196,7 +195,7 @@ class TestSharedNumbering:
         liveness = cache.get(BitLivenessSets)
         assert liveness.numbering is numbering
 
-        test = InterferenceTest(
+        test = QueryInterference(
             function, cache.get(IntersectionOracle), variant_by_name("value").interference,
             cache.get(ValueTable),
         )
@@ -348,18 +347,18 @@ class TestEngineConfigBuilder:
         config = (
             EngineConfig.builder()
             .name("custom").label("Custom")
-            .coalescing("intersect").interference_graph(False)
+            .coalescing("intersect").interference("query")
             .build()
         )
         assert (config.name, config.label) == ("custom", "Custom")
         assert config.coalescing == "intersect"
-        assert not config.use_interference_graph
+        assert config.interference == "query"
 
     def test_multiple_overrides_stack_suffixes(self):
         config = (
             EngineConfig.builder("us_i")
             .liveness("check")
-            .interference_graph(False)
+            .interference("query")
             .build()
         )
         assert config.name == "us_i_check_intercheck"

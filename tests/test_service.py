@@ -188,24 +188,6 @@ class TestTranslationService:
         with pytest.raises(KeyError, match="no warm state"):
             service.retranslate("0" * 64, None)
 
-    def test_retranslate_is_bit_identical_to_cold(self):
-        config = (
-            EngineConfig.builder("us_i")
-            .liveness("incremental").interference("incremental").build()
-        )
-        service = TranslationService(config)
-        function = generate_stress_cfg(CorpusSpec(seed=11, blocks=90, variables=6))
-        first = service.translate_function(function)
-        state = service.cache.warm_state(first.digest, first.fingerprint)
-        log = random_edit_batch(state.function, seed=2)
-        cold_copy = state.function.copy()      # preserves fresh-name counters
-        warm = service.retranslate(first.digest, log)
-        Session(config).translate(cold_copy)
-        assert warm.kind == "warm"
-        assert warm.ir_text == format_function(cold_copy)
-        # The edited program is cached under its own digest now.
-        assert service.translate_text(warm.ir_text, engine=config).digest != first.digest
-
     def test_flush_resets_cache_and_sessions(self):
         service = TranslationService("us_i")
         service.translate_text(program_text(4))
@@ -250,10 +232,7 @@ class TestTranslationService:
         warm state is gone: evicting the old entry must not break the new
         key's warm path, and re-editing from the old digest fails loudly
         instead of silently stacking edits."""
-        config = (
-            EngineConfig.builder("us_i")
-            .liveness("incremental").interference("incremental").build()
-        )
+        config = engine_by_name("us_i")
         service = TranslationService(config, capacity=2)
         function = generate_stress_cfg(CorpusSpec(seed=13, blocks=80, variables=6))
         first = service.translate_function(function)

@@ -144,7 +144,7 @@ class TestPipelineVerification:
 # --------------------------------------------------------------------------- engine sweep
 class TestCleanSweep:
     @pytest.mark.parametrize("engine", [e.name for e in ENGINE_CONFIGURATIONS])
-    @pytest.mark.parametrize("backend", ["matrix", "query", "incremental"])
+    @pytest.mark.parametrize("backend", ["matrix", "query"])
     def test_every_engine_and_backend_is_quiet(self, engine, backend):
         config = (
             EngineConfig.builder(engine)
@@ -159,7 +159,7 @@ class TestCleanSweep:
             )
 
     @pytest.mark.parametrize("engine", [e.name for e in ENGINE_CONFIGURATIONS])
-    @pytest.mark.parametrize("backend", ["matrix", "query", "incremental"])
+    @pytest.mark.parametrize("backend", ["matrix", "query"])
     def test_stress_corpus_is_quiet(self, engine, backend):
         """The acceptance sweep: a (φ-free, non-SSA) stress-corpus function
         translates diagnostic-free at full level under every engine ×

@@ -19,10 +19,10 @@ class TestSeededFaults:
 
     def test_catalogue_covers_every_check_family(self):
         expected = {fault.expected_code for fault in SEEDED_FAULTS}
-        # One structural, one SSA, one CSSA, class checks, incremental
-        # cross-checks, residue and sequentialization/behaviour checks.
+        # One structural, one SSA, one CSSA, class checks, residue and
+        # sequentialization/behaviour checks.
         for family in ("V107", "V202", "V301", "V401", "V402", "V403",
-                       "V451", "V452", "V501", "V502", "V503", "V504"):
+                       "V501", "V502", "V503", "V504"):
             assert family in expected
 
 
