@@ -7,7 +7,7 @@ a cold one.  Five claims:
 1. *Warm ≡ cold for every engine* — for all seven Figure 6/7 engine
    configurations × both interference backends, the service's cold
    response equals a direct cold pipeline run of the same text, and the
-   subsequent cache hit returns byte-identical text.
+   subsequent cache hit returns byte-identical text, on both IR cores.
 2. *Randomized streams* — under arbitrary interleavings of programs,
    repeats and flushes, every response equals the cold reference for its
    program (Hypothesis-driven).
@@ -23,7 +23,7 @@ a cold one.  Five claims:
    ``TranslationService.retranslate`` returns exactly the IR text and stats
    counters a fresh :class:`~repro.pipeline.Session` produces for an
    in-memory copy of the edited function (Hypothesis-driven, all seven
-   engines).
+   engines on both IR cores).
 """
 
 import itertools
@@ -59,11 +59,7 @@ def _cold_reference(text: str, config: EngineConfig) -> str:
     return format_function(function)
 
 
-@pytest.mark.parametrize("config, backend", ENGINE_BACKEND_MATRIX)
-def test_warm_cache_is_bit_identical_to_cold_for_every_engine(config, backend):
-    """All 7 engines × both interference backends: cold response == direct
-    pipeline output, hit response == cold response, byte for byte."""
-    derived = EngineConfig.builder(config).interference(backend).build()
+def _assert_served_like_cold(derived: EngineConfig) -> None:
     service = TranslationService(derived)
     for seed in (2, 17):
         text = _program_text(seed)
@@ -75,6 +71,21 @@ def test_warm_cache_is_bit_identical_to_cold_for_every_engine(config, backend):
         assert hit.kind == "hit"
         assert hit.ir_text == reference, f"{derived.name}: cached response diverged"
         assert hit.digest == cold.digest and hit.fingerprint == cold.fingerprint
+
+
+@pytest.mark.parametrize("config, backend", ENGINE_BACKEND_MATRIX)
+def test_warm_cache_is_bit_identical_to_cold_for_every_engine(config, backend):
+    """All 7 engines × both interference backends: cold response == direct
+    pipeline output, hit response == cold response, byte for byte."""
+    _assert_served_like_cold(EngineConfig.builder(config).interference(backend).build())
+
+
+@pytest.mark.parametrize("config, backend", ENGINE_BACKEND_MATRIX)
+def test_warm_cache_is_bit_identical_to_cold_on_the_objects_core(config, backend):
+    """The same matrix with the analyses built from the object graph."""
+    _assert_served_like_cold(
+        EngineConfig.builder(config).interference(backend).core("objects").build()
+    )
 
 
 @settings(max_examples=15, deadline=None)
@@ -149,9 +160,10 @@ def _counters(stats) -> dict:
     return {name: value for name, value in stats.items() if name not in _TIMING_FIELDS}
 
 
-@settings(max_examples=200, deadline=None)
+@pytest.mark.parametrize("core", ["flat", "objects"])
+@pytest.mark.parametrize("engine", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
+@settings(max_examples=15, deadline=None)
 @given(
-    engine=st.sampled_from(ENGINE_CONFIGURATIONS),
     seed=st.integers(min_value=0, max_value=2**16),
     blocks=st.integers(min_value=8, max_value=300),
     depth=st.integers(min_value=1, max_value=5),
@@ -159,8 +171,10 @@ def _counters(stats) -> dict:
     batch_seeds=st.lists(st.integers(min_value=0, max_value=2**16), min_size=1, max_size=4),
 )
 def test_retranslate_is_bit_identical_to_cold(
-    engine, seed, blocks, depth, irreducible, batch_seeds
+    engine, core, seed, blocks, depth, irreducible, batch_seeds
 ):
+    """15 examples for each of the 14 engine × core cases (210 in all)."""
+    engine = EngineConfig.builder(engine).core(core).build()
     service = TranslationService(engine)
     function = generate_stress_cfg(
         CorpusSpec(
@@ -182,4 +196,3 @@ def test_retranslate_is_bit_identical_to_cold(
         assert _counters(result.stats) == _counters(asdict(cold.stats)), (
             f"{engine.name}: warm stats diverged from cold at step {step}"
         )
-

@@ -151,6 +151,16 @@ class TestStress:
         with pytest.raises(SystemExit, match="invalid --blocks"):
             main(["stress", "--blocks", "abc"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--verify", "off"],                   # would run nothing
+        ["--experiment", "interference"],      # the timing lanes are gone
+    ])
+    def test_stress_rejects_retired_options(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stress", "--blocks", "80", *argv])
+        assert excinfo.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
 
 class TestListJson:
     def test_list_json_is_machine_readable(self, capsys):
@@ -240,6 +250,11 @@ class TestInterferenceFlag:
     def test_translate_rejects_unknown_interference(self, lost_copy_file, capsys):
         with pytest.raises(SystemExit):
             main(["translate", lost_copy_file, "--interference", "bogus"])
+
+    def test_removed_incremental_interference_is_rejected(self, lost_copy_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["translate", lost_copy_file, "--interference", "incremental"])
+        assert "invalid choice: 'incremental'" in capsys.readouterr().err
 
     def test_list_shows_interference_backends(self, capsys):
         assert main(["list"]) == 0

@@ -91,6 +91,11 @@ class TestParser:
             ("function f() {\n  entry:\n    x = phi [a]\n}", "bad phi argument"),
             ("function f() {\n  b:\n    ret 1\n  b:\n    ret 2\n}",
              "line 4: duplicate block label 'b'"),
+            ("function f() {\n  entry:\n    brdec c, a\n}", "brdec expects"),
+            ("function f() {\n  entry:\n    x = add a, @\n    ret x\n}",
+             "line 3: bad operand '@'"),
+            ("function f() {\n  entry:\n    ret 1\n}\nx", "line 5: text after closing brace"),
+            ("   \n", "empty input"),
         ],
     )
     def test_parse_errors(self, bad_text, fragment):

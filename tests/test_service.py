@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.corpus import CorpusSpec, generate_stress_cfg, random_edit_batch
 from repro.bench.generator import GeneratorConfig, generate_ssa_program
+from repro.cfg.dominance import DominatorTree
 from repro.coalescing.engine import AggressiveCoalescer, collect_affinities
 from repro.interference.base import InterferenceKind
 from repro.interference.congruence import CongruenceClasses
@@ -13,6 +14,7 @@ from repro.interference.graph import MatrixInterference
 from repro.ir import format_function, parse_function, text_digest
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.intersection import IntersectionOracle
+from repro.liveness.livecheck import LivenessChecker
 from repro.outofssa.config import ENGINE_CONFIGURATIONS, EngineConfig, engine_by_name
 from repro.outofssa.method_i import insert_phi_copies
 from repro.pipeline import Pipeline, Session
@@ -52,6 +54,23 @@ class TestEngineFingerprint:
     def test_name_and_label_are_cosmetic(self):
         renamed = EngineConfig.builder("us_i").name("renamed").label("Renamed").build()
         assert renamed.fingerprint() == engine_by_name("us_i").fingerprint()
+
+    #: The fingerprints key the translation cache and travel in every
+    #: ``repro-serve/2`` response, so a refactor of the configuration must
+    #: not move them.
+    PINNED = {
+        "sreedhar_iii": "d8bf842eada86c0d",
+        "us_iii": "afeada696022a5a1",
+        "us_iii_intercheck": "cca016c0498c2337",
+        "us_iii_intercheck_livecheck": "9f85f2d3eb9416db",
+        "us_iii_linear_intercheck_livecheck": "f7ef26690404a823",
+        "us_i": "404259d591fcfc90",
+        "us_i_linear_intercheck_livecheck": "4cf5c6d9af6b7380",
+    }
+
+    @pytest.mark.parametrize("engine", sorted(PINNED))
+    def test_named_engine_fingerprints_are_pinned(self, engine):
+        assert engine_by_name(engine).fingerprint() == self.PINNED[engine]
 
     def test_every_knob_feeds_the_fingerprint(self):
         base = engine_by_name("us_i")
@@ -137,6 +156,32 @@ class TestWarmSession:
         function = parse_function(program_text(3))
         with pytest.raises(KeyError, match="no warm analysis cache"):
             session.apply_edits(function, None)
+
+    def test_apply_edits_patches_the_checker_and_rebuilds_the_rest(self):
+        session = Session("us_i_linear_intercheck_livecheck", warm=True)
+        function = parse_function(program_text(3))
+        session.translate(function)
+        cache = session.warm_cache(function)
+        checker = cache.cached(LivenessChecker)
+        assert checker is not None
+        session.apply_edits(function, random_edit_batch(function, seed=5))
+        assert cache.cached(LivenessChecker) is checker
+        session.translate(function)
+        assert cache.cached(LivenessChecker) is checker
+        assert cache.constructions[LivenessChecker] == 1
+        assert cache.constructions[DominatorTree] == 2
+        assert cache.constructions[IntersectionOracle] == 2
+
+    def test_apply_edits_rebuilds_every_bitset_analysis_cold(self):
+        session = Session("us_i", warm=True)
+        function = parse_function(program_text(3))
+        session.translate(function)
+        cache = session.warm_cache(function)
+        session.apply_edits(function, random_edit_batch(function, seed=5))
+        session.translate(function)
+        assert cache.constructions[BitLivenessSets] == 2
+        assert cache.constructions[MatrixInterference] == 2
+        assert set(cache.constructions.values()) == {2}
 
     def test_forget_and_flush_warm(self):
         session = Session("us_i", warm=True)

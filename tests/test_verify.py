@@ -142,21 +142,40 @@ class TestPipelineVerification:
 
 
 # --------------------------------------------------------------------------- engine sweep
+def _full_verify_config(engine: str, backend: str, core: str = "flat") -> EngineConfig:
+    return (
+        EngineConfig.builder(engine)
+        .interference(backend)
+        .core(core)
+        .verify("full")
+        .build()
+    )
+
+
+def _assert_gallery_quiet(config: EngineConfig) -> None:
+    for _name, maker, _args in GALLERY_PROGRAMS:
+        report = Pipeline.for_engine(config).run(maker()).verify_report
+        assert report.ok and report.diagnostics == [], (
+            f"{config.name}: {report.render()}"
+        )
+
+
+def _assert_stress_corpus_quiet(config: EngineConfig) -> None:
+    from repro.bench.corpus import CorpusSpec, generate_stress_cfg
+
+    spec = CorpusSpec(name="verify_sweep", seed=3, blocks=120,
+                      loop_depth=3, variables=8)
+    report = Pipeline.for_engine(config).run(generate_stress_cfg(spec)).verify_report
+    assert report.ok and report.diagnostics == [], (
+        f"{config.name}: {report.render()}"
+    )
+
+
 class TestCleanSweep:
     @pytest.mark.parametrize("engine", [e.name for e in ENGINE_CONFIGURATIONS])
     @pytest.mark.parametrize("backend", ["matrix", "query"])
     def test_every_engine_and_backend_is_quiet(self, engine, backend):
-        config = (
-            EngineConfig.builder(engine)
-            .interference(backend)
-            .verify("full")
-            .build()
-        )
-        for _name, maker, _args in GALLERY_PROGRAMS:
-            report = Pipeline.for_engine(config).run(maker()).verify_report
-            assert report.ok and report.diagnostics == [], (
-                f"{engine}/{backend}: {report.render()}"
-            )
+        _assert_gallery_quiet(_full_verify_config(engine, backend))
 
     @pytest.mark.parametrize("engine", [e.name for e in ENGINE_CONFIGURATIONS])
     @pytest.mark.parametrize("backend", ["matrix", "query"])
@@ -164,20 +183,20 @@ class TestCleanSweep:
         """The acceptance sweep: a (φ-free, non-SSA) stress-corpus function
         translates diagnostic-free at full level under every engine ×
         interference backend."""
-        from repro.bench.corpus import CorpusSpec, generate_stress_cfg
+        _assert_stress_corpus_quiet(_full_verify_config(engine, backend))
 
-        spec = CorpusSpec(name="verify_sweep", seed=3, blocks=120,
-                          loop_depth=3, variables=8)
-        config = (
-            EngineConfig.builder(engine)
-            .interference(backend)
-            .verify("full")
-            .build()
-        )
-        report = Pipeline.for_engine(config).run(generate_stress_cfg(spec)).verify_report
-        assert report.ok and report.diagnostics == [], (
-            f"{engine}/{backend}: {report.render()}"
-        )
+    @pytest.mark.parametrize("engine", [e.name for e in ENGINE_CONFIGURATIONS])
+    @pytest.mark.parametrize("backend", ["matrix", "query"])
+    def test_every_engine_and_backend_is_quiet_on_the_objects_core(self, engine, backend):
+        """The objects core builds liveness and the interference matrix by
+        walking the object graph instead of the flat arena; its translations
+        must verify just as clean."""
+        _assert_gallery_quiet(_full_verify_config(engine, backend, core="objects"))
+
+    @pytest.mark.parametrize("engine", [e.name for e in ENGINE_CONFIGURATIONS])
+    @pytest.mark.parametrize("backend", ["matrix", "query"])
+    def test_stress_corpus_is_quiet_on_the_objects_core(self, engine, backend):
+        _assert_stress_corpus_quiet(_full_verify_config(engine, backend, core="objects"))
 
 
 # --------------------------------------------------------------------------- CLI
