@@ -44,9 +44,9 @@ def test_figure6_table_and_headline_speed(benchmark, suite, results_dir):
     # The paper reports ~2x against its Sreedhar III implementation.  Our
     # baseline runs on the bit-set liveness backend (as the paper's did) —
     # already a harder target than the original ordered-set strawman — and
-    # since the flat IR core it is harder still: the gap was dominated by
-    # the interference-graph build the fast engine skips, and the flat
-    # core's arena scan made exactly that build several times cheaper, so
+    # since the flat arena it is harder still: the gap was dominated by
+    # the interference-graph build the fast engine skips, and the arena
+    # edge scan made exactly that build several times cheaper, so
     # the measured margin compressed from ~1.25x to ~1.05-1.2x on this
     # small-function workload.  Keep the direction strict (`fast <
     # baseline`) and require a floor below the compressed margin so the

@@ -173,7 +173,7 @@ class Figure7Row:
     #: backend) — read next to the ``ceil(n/8) * n/2`` evaluated formula.
     measured_matrix: Dict[str, int] = field(default_factory=dict)
     #: Measured bytes of the flat arena tables (``OutOfSSAStats.flat_bytes``;
-    #: 0 when the objects core ran) — the price of the ``--core flat`` sweeps.
+    #: 0 when no arena consumer ran) — the price of the arena sweeps.
     measured_flat: Dict[str, int] = field(default_factory=dict)
     ratios: Dict[str, float] = field(default_factory=dict)
 
@@ -221,96 +221,6 @@ def run_figure7(
     )
     total_row.compute_ratios()
     return [maximum_row, total_row]
-
-
-# --------------------------------------------------------------------------- cold latency
-@dataclass
-class ColdLatencyRow:
-    """Flat-core vs objects-core cold translation of one stress corpus spec."""
-
-    engine: str = ""
-    blocks: int = 0
-    variables: int = 0
-    objects_seconds: float = 0.0   #: best-of-repeats, ``--core objects``
-    flat_seconds: float = 0.0      #: best-of-repeats, ``--core flat``
-    #: Arena lowering time inside the best flat run (already included in
-    #: ``flat_seconds`` — reported so the one-time cost is visible).
-    lowering_ms: float = 0.0
-    flat_bytes: int = 0            #: arena table bytes of the best flat run
-
-    @property
-    def speedup(self) -> float:
-        """Objects-core wall-clock over flat-core wall-clock (cold)."""
-        if not self.flat_seconds:
-            return 0.0
-        return self.objects_seconds / self.flat_seconds
-
-
-#: Stats fields excluded from the cross-core identity comparison: wall-clock
-#: and representation-provenance values, everything else must agree exactly.
-_CORE_TIMING_FIELDS = ("elapsed_seconds", "core", "lowering_ms", "flat_bytes", "verify_ms")
-
-
-def run_cold_latency(
-    specs,
-    engine: "EngineLike" = "us_i",
-    repeats: int = 3,
-    check_identical: bool = True,
-) -> List[ColdLatencyRow]:
-    """Cold end-to-end translation: the flat arena core vs the objects core.
-
-    Per repeat the spec's function is regenerated *fresh for each core*
-    (translation mutates its input) and pushed through the full out-of-SSA
-    pipeline; the two cores are interleaved inside every repeat so machine
-    load spikes hit both sides, and the rows carry best-of-repeats
-    wall-clocks.  With ``check_identical`` (the default) every repeat asserts
-    the two cores produced the same output IR text *and* the same stats
-    counters (timing and representation-provenance fields excepted) — the
-    speedup claim is only meaningful over bit-identical work.
-    """
-    from dataclasses import asdict
-    from dataclasses import replace as dc_replace
-
-    from repro.bench.corpus import generate_stress_cfg
-    from repro.ir.printer import format_function
-    from repro.pipeline.pipeline import Pipeline, resolve_engine
-
-    base = resolve_engine(engine)
-    pipelines = {
-        core: Pipeline.for_engine(dc_replace(base, core=core))
-        for core in ("objects", "flat")
-    }
-
-    rows: List[ColdLatencyRow] = []
-    for spec in specs:
-        row = ColdLatencyRow(engine=base.name)
-        best: Dict[str, Optional[float]] = {"objects": None, "flat": None}
-        for repeat in range(max(1, repeats)):
-            outputs = {}
-            for core, pipeline in pipelines.items():
-                function = generate_stress_cfg(spec)
-                row.blocks = len(function.blocks)
-                row.variables = len(function.variables())
-                began = time.perf_counter()
-                result = pipeline.run(function)
-                seconds = time.perf_counter() - began
-                stats = asdict(result.stats)
-                for name in _CORE_TIMING_FIELDS:
-                    stats.pop(name, None)
-                outputs[core] = (format_function(function), stats)
-                if best[core] is None or seconds < best[core]:
-                    best[core] = seconds
-                    if core == "flat":
-                        row.lowering_ms = result.stats.lowering_ms
-                        row.flat_bytes = result.stats.flat_bytes
-            if check_identical and outputs["objects"] != outputs["flat"]:
-                raise AssertionError(
-                    f"cores diverged on {spec.describe()} (repeat {repeat})"
-                )
-        row.objects_seconds = best["objects"] or 0.0
-        row.flat_seconds = best["flat"] or 0.0
-        rows.append(row)
-    return rows
 
 
 # --------------------------------------------------------------------------- headline
@@ -423,7 +333,6 @@ def run_service_throughput(
     engine: str = "us_i",
     scale: float = 1.0,
     mode: str = "thread",
-    parallel_coalescing: int = 0,
     seed: int = 0,
     stream: Optional[List[str]] = None,
 ) -> List[ServiceThroughputRow]:
@@ -451,10 +360,7 @@ def run_service_throughput(
     unique = len(set(stream))
     rows: List[ServiceThroughputRow] = []
 
-    cold_service = TranslationService(
-        engine, capacity=0, parallel_coalescing=parallel_coalescing,
-        keep_warm_state=False,
-    )
+    cold_service = TranslationService(engine, capacity=0, keep_warm_state=False)
     began = time.perf_counter()
     cold_results = [cold_service.translate_text(text) for text in stream]
     cold_seconds = time.perf_counter() - began
@@ -465,7 +371,7 @@ def run_service_throughput(
         )
     )
 
-    warm_service = TranslationService(engine, parallel_coalescing=parallel_coalescing)
+    warm_service = TranslationService(engine)
     began = time.perf_counter()
     warm_results = [warm_service.translate_text(text) for text in stream]
     warm_seconds = time.perf_counter() - began
@@ -478,9 +384,7 @@ def run_service_throughput(
         )
     )
 
-    scheduler = ShardedScheduler(
-        engine, shards=shards, mode=mode, parallel_coalescing=parallel_coalescing
-    )
+    scheduler = ShardedScheduler(engine, shards=shards, mode=mode)
     began = time.perf_counter()
     sharded_results = scheduler.translate_batch(stream)
     sharded_seconds = time.perf_counter() - began

@@ -112,35 +112,6 @@ def format_figure7(rows: List[Figure7Row]) -> str:
     return _format_table(headers, table_rows)
 
 
-def format_cold_latency(rows) -> str:
-    """The cold-latency experiment: flat arena core vs objects core.
-
-    One line per corpus size; times are best-of-repeats cold end-to-end
-    translations (parse-free: the generated function goes straight into the
-    pipeline), ``lowering`` is the one-time arena build *inside* the flat
-    time, ``tables`` the measured arena byte size, and ``speedup`` the
-    objects-core wall-clock over the flat-core one.  Output bit-identity
-    between the cores is asserted inside the harness on every repeat.
-    """
-    headers = [
-        "blocks", "vars", "engine", "objects (ms)", "flat (ms)",
-        "lowering (ms)", "tables (KiB)", "speedup",
-    ]
-    table_rows = []
-    for row in rows:
-        table_rows.append([
-            str(row.blocks),
-            str(row.variables),
-            row.engine,
-            f"{row.objects_seconds * 1e3:.2f}",
-            f"{row.flat_seconds * 1e3:.2f}",
-            f"{row.lowering_ms:.2f}",
-            str(row.flat_bytes // 1024),
-            f"{row.speedup:.2f}x",
-        ])
-    return _format_table(headers, table_rows)
-
-
 def format_service_throughput(rows) -> str:
     """The service throughput experiment: cold vs warm vs sharded.
 

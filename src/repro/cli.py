@@ -62,7 +62,6 @@ from repro.coalescing.variants import VARIANTS
 from repro.interp import run_function
 from repro.ir import ValidationError, format_function, parse_function, validate_function
 from repro.outofssa.config import (
-    CORE_BACKENDS,
     ENGINE_CONFIGURATIONS,
     INTERFERENCE_BACKENDS,
     LIVENESS_BACKENDS,
@@ -125,8 +124,6 @@ def _resolve_engine_config(args: argparse.Namespace) -> EngineConfig:
             builder.interference(args.interference)
         if getattr(args, "verify", None):
             builder.verify(args.verify)
-        if getattr(args, "core", None):
-            builder.core(args.core)
         return builder.build()
     except (KeyError, ValueError) as error:
         message = error.args[0] if error.args else str(error)
@@ -160,10 +157,8 @@ def command_translate(args: argparse.Namespace) -> int:
         print(f"# copies remaining     : {counts.static_copies}", file=sys.stderr)
         print(f"# constant moves       : {counts.constant_moves}", file=sys.stderr)
         print(f"# translation time (ms): {result.stats.elapsed_seconds * 1e3:.3f}", file=sys.stderr)
-        print(f"# ir core              : {result.stats.core}", file=sys.stderr)
-        if result.stats.core == "flat":
-            print(f"# arena lowering (ms)  : {result.stats.lowering_ms:.3f}", file=sys.stderr)
-            print(f"# arena tables (bytes) : {result.stats.flat_bytes}", file=sys.stderr)
+        print(f"# arena lowering (ms)  : {result.stats.lowering_ms:.3f}", file=sys.stderr)
+        print(f"# arena tables (bytes) : {result.stats.flat_bytes}", file=sys.stderr)
         if report is not None:
             print(f"# verify time (ms)     : {result.stats.verify_ms:.3f}", file=sys.stderr)
     if report is not None and report.errors:
@@ -327,7 +322,6 @@ def command_serve(args: argparse.Namespace) -> int:
             shards=args.shards,
             mode=args.mode,
             capacity=args.capacity,
-            parallel_coalescing=args.parallel_coalescing,
             workers=args.workers,
             max_pending=args.max_pending,
             max_pipeline=args.max_pipeline,
@@ -409,7 +403,6 @@ def command_bench_serve(args: argparse.Namespace) -> int:
             engine=args.engine,
             scale=args.scale,
             mode=args.mode,
-            parallel_coalescing=args.parallel_coalescing,
             seed=args.seed,
         )
     except KeyError as error:
@@ -447,7 +440,6 @@ def _list_catalogue() -> dict:
                 "interference": config.interference,
                 "linear_class_check": config.linear_class_check,
                 "on_branch_def": config.on_branch_def,
-                "core": config.core,
                 "fingerprint": config.fingerprint(),
                 "describe": config.describe(),
             }
@@ -458,7 +450,6 @@ def _list_catalogue() -> dict:
         ],
         "liveness_backends": dict(LIVENESS_BACKENDS),
         "interference_backends": dict(INTERFERENCE_BACKENDS),
-        "cores": dict(CORE_BACKENDS),
         "benchmarks": [
             {"name": spec.name, "functions": spec.functions, "size": spec.size}
             for spec in SUITE
@@ -484,10 +475,6 @@ def command_list(args: argparse.Namespace) -> int:
     print()
     print("interference backends (--interference):")
     for kind, description in INTERFERENCE_BACKENDS.items():
-        print(f"  {kind:14s} {description}")
-    print()
-    print("IR cores (--core):")
-    for kind, description in CORE_BACKENDS.items():
         print(f"  {kind:14s} {description}")
     print()
     print("synthetic benchmarks:")
@@ -517,10 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=sorted(INTERFERENCE_BACKENDS),
                            help="interference backend (see 'repro list'): eager bit-matrix, "
                                 "or on-the-fly queries (overrides the engine's backend)")
-    translate.add_argument("--core", default=None, choices=sorted(CORE_BACKENDS),
-                           help="IR core driving the hot sweeps (see 'repro list'): the "
-                                "flat int-array arena (default) or the object-graph "
-                                "reference walks (differential baseline)")
     translate.add_argument("--construct-ssa", action="store_true",
                            help="build SSA first (for non-SSA input files)")
     translate.add_argument("--optimize", action="store_true",
@@ -558,8 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--interference", default=None,
                         choices=sorted(INTERFERENCE_BACKENDS),
                         help="interference backend override (see 'repro list')")
-    verify.add_argument("--core", default=None, choices=sorted(CORE_BACKENDS),
-                        help="IR core override (see 'repro list')")
     verify.add_argument("--level", default="full", choices=("fast", "full"),
                         help="checker depth (fast: structural in/out; full: every stage)")
     verify.add_argument("--json", action="store_true",
@@ -614,9 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how batch requests fan out across shards")
     serve.add_argument("--capacity", type=int, default=256,
                        help="cache entries per shard (0 disables caching)")
-    serve.add_argument("--parallel-coalescing", type=int, default=0,
-                       help="worker threads for the in-shard class-row merge prefilter "
-                            "(0/1 = serial coalescing)")
     serve.add_argument("--workers", type=int, default=None,
                        help="translation worker threads (default: max(2, shards))")
     serve.add_argument("--max-pending", type=int, default=64,
@@ -665,8 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--mode", default="thread",
                              choices=("serial", "thread", "process"),
                              help="scheduler mode for the sharded row")
-    bench_serve.add_argument("--parallel-coalescing", type=int, default=0,
-                             help="in-shard parallel coalescing workers")
     bench_serve.add_argument("--clients", type=int, default=0,
                              help="also run the pipelined concurrent-clients "
                                   "experiment with this many connections (0 skips)")

@@ -61,9 +61,6 @@ class CoalescingStats:
     attempted: int = 0
     coalesced: int = 0
     shared: int = 0
-    #: Candidates rejected by the parallel class-row prefilter before the
-    #: serial sweep ran (0 for the ordinary serial coalescer).
-    prefiltered: int = 0
     remaining_affinities: List[Affinity] = field(default_factory=list)
     #: Interference query counters at the end of the run (copied from the
     #: congruence layer: pairwise queries issued, and class-vs-class checks

@@ -7,7 +7,8 @@ This module holds the memory side of the pluggable interference stack:
   an (extensible) universe of variables addressed through the shared
   :class:`~repro.liveness.numbering.VariableNumbering`;
 * :func:`scan_interference_edges` — the one-backward-scan-per-block
-  construction ("costly traversal of the program", §IV);
+  construction ("costly traversal of the program", §IV), run over the
+  :class:`~repro.ir.flat.FlatFunction` arena's int rows;
 * :class:`MatrixInterference` — the ``matrix`` backend: the graph is built
   eagerly at construction and answers every in-universe pair; pairs outside
   the restricted universe fall back to the query path.
@@ -22,6 +23,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Set
 
 from repro.interference.base import InterferenceKind, QueryInterference
+from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
 from repro.ir.instructions import Variable
 from repro.liveness.bitsets import BitLivenessSets
@@ -43,6 +45,11 @@ class InterferenceGraph:
     matrix stays at the paper's ``candidates²/2`` bits regardless of how many
     variables the shared numbering knows, and queries about non-universe
     variables report "not in the graph" and fall back to the pairwise test.
+
+    Next to the half matrix the graph keeps *symmetric* per-slot adjacency
+    masks, so :meth:`adjacency_bits` (read by class-row coalescing) is O(1)
+    instead of an O(universe) column scan.  The rows are derived data: the
+    half matrix stays the authoritative store and the measured footprint.
     """
 
     def __init__(
@@ -53,6 +60,7 @@ class InterferenceGraph:
         self._numbering = numbering if numbering is not None else VariableNumbering()
         self._slot_of: dict = {}              #: numbering index -> dense matrix slot
         self._slot_vars: List[Variable] = []  #: dense matrix slot -> variable
+        self._sym: List[int] = []             #: slot -> symmetric adjacency mask
         self._matrix = BitMatrix()
         for var in universe:
             self.add_variable(var)
@@ -67,6 +75,7 @@ class InterferenceGraph:
         slot = len(self._slot_vars)
         self._slot_of[index] = slot
         self._slot_vars.append(var)
+        self._sym.append(0)
         old_bytes = self._matrix.footprint_bytes()
         self._matrix.grow(slot + 1)
         tracker = current_tracker()
@@ -100,7 +109,11 @@ class InterferenceGraph:
     def add_edge(self, a: Variable, b: Variable) -> None:
         if a == b:
             return
-        self._matrix.set(self.add_variable(a), self.add_variable(b))
+        slot_a = self.add_variable(a)
+        slot_b = self.add_variable(b)
+        self._matrix.set(slot_a, slot_b)
+        self._sym[slot_a] |= 1 << slot_b
+        self._sym[slot_b] |= 1 << slot_a
 
     def interferes(self, a: Variable, b: Variable) -> bool:
         slot_a = self._slot(a)
@@ -119,7 +132,7 @@ class InterferenceGraph:
     def adjacency_bits(self, var: Variable) -> int:
         """Symmetric adjacency row of ``var`` as a bit mask over matrix slots."""
         slot = self._slot(var)
-        return self._matrix.full_row(slot) if slot is not None else 0
+        return self._sym[slot] if slot is not None else 0
 
     def edge_count(self) -> int:
         return sum(
@@ -166,6 +179,7 @@ class InterferenceGraph:
         test,
         universe: Optional[Iterable[Variable]] = None,
         numbering: Optional[VariableNumbering] = None,
+        flat: Optional[FlatFunction] = None,
     ) -> "InterferenceGraph":
         """Build the graph by one backward scan per block ("costly traversal of
         the program", §IV): at every definition point, the defined variables
@@ -174,112 +188,192 @@ class InterferenceGraph:
 
         Requires ``test.oracle.liveness``; the universe defaults to all
         variables but the paper (and the driver) restrict it to the φ-related
-        and copy-related ones.
+        and copy-related ones.  ``flat`` shares an arena lowered over
+        ``numbering`` (the analysis cache passes its generation-stamped
+        instance); when absent or stale, one is lowered privately.
         """
         candidates = list(universe) if universe is not None else function.variables()
         graph = cls(candidates, numbering=numbering)
-        scan_interference_edges(graph, function, test, set(candidates))
+        flat = FlatFunction.current(flat, function, graph.numbering)
+        scan_interference_edges(graph, flat, test, set(candidates))
         return graph
+
+
+def _live_out_rows(
+    flat: FlatFunction, liveness, in_universe: Set[Variable], universe_mask: int
+) -> List[int]:
+    """Per block id, the universe variables live at the block's end, as a
+    mask in the arena's numbering.
+
+    Bit-set liveness over the arena's numbering hands its raw ``_bits_out``
+    rows over directly; any other oracle is asked ``is_live_out`` once per
+    universe variable per block.
+    """
+    if isinstance(liveness, BitLivenessSets) and liveness.numbering is flat.numbering:
+        bits_out = liveness._bits_out
+        return [bits_out[label] & universe_mask for label in flat.labels]
+    get = flat.numbering.get
+    members = [(var, 1 << get(var)) for var in in_universe]
+    is_live_out = liveness.is_live_out
+    rows = []
+    for label in flat.labels:
+        row = 0
+        for var, bit in members:
+            if is_live_out(label, var):
+                row |= bit
+        rows.append(row)
+    return rows
 
 
 def scan_interference_edges(
     graph: InterferenceGraph,
-    function: Function,
+    flat: FlatFunction,
     test,
     in_universe: Set[Variable],
 ) -> None:
-    """One backward scan per block of ``function``, adding the discovered edges.
+    """Populate ``graph`` from the arena: a backward walk per block, where
+    every universe variable live right after a universe definition interferes
+    with it, minus the notion-specific exemptions; parameters are defined
+    virtually before the entry block.
 
-    The object-graph construction primitive behind :meth:`InterferenceGraph.build`
-    (and the flat core's fallback when no current arena is available).
+    The live set is an int mask, the VALUE exemption a precomputed
+    per-variable same-value group mask, the CHAITIN exemption reads the
+    arena's ``def_src`` column, and edges are written straight into the
+    matrix and symmetric rows — no object in the inner loop.  ``flat`` must
+    be lowered over ``graph.numbering`` at the function's current generation.
     """
-    from repro.ir.instructions import Copy, ParallelCopy, Phi
-    from repro.ir.positions import block_schedule  # local import, avoids cycles
-
-    liveness = test.oracle.liveness
+    numbering = graph.numbering
+    size = len(numbering)
     kind = test.kind
 
-    # With the bit-set liveness backend the per-block "universe variables
-    # live at the end of the block" set is one mask intersection plus a
-    # decode of the surviving bits, instead of one oracle query per
-    # universe variable per block.
-    bit_liveness = liveness if isinstance(liveness, BitLivenessSets) else None
     universe_mask = 0
-    if bit_liveness is not None:
-        for var in in_universe:
-            index = bit_liveness.numbering.get(var)
-            if index is not None:
-                universe_mask |= 1 << index
+    get = numbering.get
+    for var in in_universe:
+        universe_mask |= 1 << get(var)
+    live_out = _live_out_rows(flat, test.oracle.liveness, in_universe, universe_mask)
 
-    def live_out_universe(block_label: str) -> set:
-        if bit_liveness is None:
-            return {var for var in in_universe if liveness.is_live_out(block_label, var)}
-        variable = bit_liveness.numbering.variable
-        mask = bit_liveness.live_out[block_label].bits & universe_mask
-        live = set()
-        while mask:
-            low = mask & -mask
-            live.add(variable(low.bit_length() - 1))
-            mask ^= low
-        return live
+    # Slot table: numbering id -> matrix slot (-1 when not in the graph).
+    slot_of = [-1] * size
+    for index, slot in graph._slot_of.items():
+        slot_of[index] = slot
 
-    def copy_source_of(instruction, defined: Variable):
-        if isinstance(instruction, Copy) and instruction.dst == defined:
-            return instruction.src
-        if isinstance(instruction, ParallelCopy):
-            for dst, src in instruction.pairs:
-                if dst == defined:
-                    return src
-        return None
+    # VALUE notion: one mask per universe variable of its same-value group
+    # (itself included — which also covers the unconditional self-skip), so
+    # the exemption is a single AND-NOT instead of a call per live pair.
+    value_skip: Optional[List[int]] = None
+    if kind is InterferenceKind.VALUE:
+        value_skip = [0] * size
+        variable = numbering.variable
+        value_of = test.values.value
+        groups: dict = {}
+        remaining = universe_mask
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            index = low.bit_length() - 1
+            groups.setdefault(value_of(variable(index)), []).append(index)
+        for members in groups.values():
+            group_mask = 0
+            for index in members:
+                group_mask |= 1 << index
+            for index in members:
+                value_skip[index] = group_mask
+    is_chaitin = kind is InterferenceKind.CHAITIN
 
-    for block in function.blocks.values():
-        # Live universe variables at the end of the block.
-        live = live_out_universe(block.label)
-        for _index, instruction in reversed(block_schedule(block)):
-            defs = list(instruction.defs())
-            if defs:
-                for defined in defs:
-                    if defined not in in_universe:
+    rows = graph._matrix._rows
+    sym = graph._sym
+    instr_off = flat.instr_off
+    use_masks = flat.use_masks
+    def_off = flat.def_off
+    def_ids = flat.def_ids
+    def_src = flat.def_src
+    ids = flat.ids
+    entry_id = flat.entry
+
+    # Adjacency already recorded, in *id* space.  The same (definition, live
+    # variable) pair recurs across many blocks on large CFGs; masking the
+    # known neighbours out keeps the per-bit loop proportional to *new*
+    # edges, not to live-set size.  (The scan populates a fresh graph, so
+    # these masks mirror the matrix rows exactly.)
+    known = [0] * size
+
+    for label in flat.function.blocks:
+        block = ids[label]
+        live = live_out[block]
+        first_row = instr_off[block]
+        for row in range(instr_off[block + 1] - 1, first_row - 1, -1):
+            span0 = def_off[row]
+            span1 = def_off[row + 1]
+            if span1 > span0:
+                for position in range(span0, span1):
+                    defined = def_ids[position]
+                    if not universe_mask >> defined & 1:
                         continue
-                    source = copy_source_of(instruction, defined)
-                    for other in live:
-                        if other == defined:
-                            continue
-                        # ``other`` is live right after the definition of
-                        # ``defined``: the live ranges intersect; apply the
-                        # notion-specific refinement.
-                        if kind is InterferenceKind.VALUE and test.same_value(defined, other):
-                            continue
-                        if kind is InterferenceKind.CHAITIN and source == other:
-                            continue
-                        graph.add_edge(defined, other)
-                for defined in defs:
-                    live.discard(defined)
-            # φ-arguments are read on the incoming edges, not inside this
-            # block: they are already accounted for by the predecessors'
-            # live-out sets and must not extend liveness here.
-            if not isinstance(instruction, Phi):
-                for used in instruction.uses():
-                    if used in in_universe:
-                        live.add(used)
+                    if value_skip is not None:
+                        candidates = live & ~value_skip[defined]
+                    else:
+                        candidates = live & ~(1 << defined)
+                        if is_chaitin:
+                            source = def_src[position]
+                            if source >= 0:
+                                candidates &= ~(1 << source)
+                    candidates &= ~known[defined]
+                    if not candidates:
+                        continue
+                    known[defined] |= candidates
+                    defined_bit = 1 << defined
+                    defined_slot = slot_of[defined]
+                    while candidates:
+                        low = candidates & -candidates
+                        candidates ^= low
+                        other = low.bit_length() - 1
+                        known[other] |= defined_bit
+                        other_slot = slot_of[other]
+                        if defined_slot >= other_slot:
+                            rows[defined_slot] |= 1 << other_slot
+                        else:
+                            rows[other_slot] |= 1 << defined_slot
+                        sym[defined_slot] |= 1 << other_slot
+                        sym[other_slot] |= 1 << defined_slot
+                cleared = 0
+                for position in range(span0, span1):
+                    cleared |= 1 << def_ids[position]
+                live &= ~cleared
+            # φ rows carry a zero use mask: φ-arguments are read on the
+            # incoming edges and already sit in the predecessors' live-out.
+            live |= use_masks[row] & universe_mask
 
-        if block.label == function.entry_label:
+        if block == entry_id:
             # Function parameters are defined by a virtual instruction
-            # before the entry block: at this point ``live`` holds the
-            # universe variables live-in at the entry, which is exactly
-            # what each parameter is simultaneously live with (a parameter
-            # that is never used is not in ``live`` and, having an empty
-            # live range and no real defining instruction, interferes with
+            # before the entry block: ``live`` now holds the universe
+            # variables live-in at the entry, exactly what each parameter is
+            # simultaneously live with (an unused parameter interferes with
             # nothing).
-            for param in function.params:
-                if param not in in_universe:
+            for param in flat.params:
+                if not universe_mask >> param & 1:
                     continue
-                for other in live:
-                    if other == param:
-                        continue
-                    if kind is InterferenceKind.VALUE and test.same_value(param, other):
-                        continue
-                    graph.add_edge(param, other)
+                if value_skip is not None:
+                    candidates = live & ~value_skip[param]
+                else:
+                    candidates = live & ~(1 << param)
+                candidates &= ~known[param]
+                if not candidates:
+                    continue
+                known[param] |= candidates
+                param_bit = 1 << param
+                param_slot = slot_of[param]
+                while candidates:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    other = low.bit_length() - 1
+                    known[other] |= param_bit
+                    other_slot = slot_of[other]
+                    if param_slot >= other_slot:
+                        rows[param_slot] |= 1 << other_slot
+                    else:
+                        rows[other_slot] |= 1 << param_slot
+                    sym[param_slot] |= 1 << other_slot
+                    sym[other_slot] |= 1 << param_slot
 
 
 # --------------------------------------------------------------------------- backends
@@ -290,7 +384,8 @@ class MatrixInterference(QueryInterference):
     them); pairs involving a non-universe variable fall back to the pairwise
     query path of :class:`~repro.interference.base.QueryInterference` — the
     behaviour the engines have always had when the restricted candidate
-    universe did not cover a query.
+    universe did not cover a query.  ``flat`` is the arena the build scans
+    (see :meth:`InterferenceGraph.build`).
     """
 
     backend_name = "matrix"
@@ -304,24 +399,14 @@ class MatrixInterference(QueryInterference):
         values=None,
         universe: Optional[Iterable[Variable]] = None,
         numbering: Optional[VariableNumbering] = None,
+        flat: Optional[FlatFunction] = None,
     ) -> None:
         super().__init__(function, oracle, kind, values)
-        self.graph = self._build_graph(function, universe, numbering)
+        self.graph = InterferenceGraph.build(
+            function, self, universe=universe, numbering=numbering, flat=flat
+        )
         #: Pairwise queries answered straight from the matrix.
         self.matrix_hits = 0
-
-    def _build_graph(
-        self,
-        function: Function,
-        universe: Optional[Iterable[Variable]],
-        numbering: Optional[VariableNumbering],
-    ) -> InterferenceGraph:
-        """Construct and populate the adjacency structure.  The flat core
-        (:mod:`repro.interference.flatcore`) overrides this to scan the
-        `FlatFunction` arena instead of the object graph."""
-        return InterferenceGraph.build(
-            function, self, universe=universe, numbering=numbering
-        )
 
     # -- pairwise test -------------------------------------------------------------
     def interferes(self, a, b) -> bool:

@@ -1,12 +1,12 @@
-"""The flat arena IR core: contiguous int tables lowered once per function.
+"""The flat arena IR: contiguous int tables lowered once per function.
 
 Every hot sweep in the out-of-SSA stack — the bit-set liveness worklist and
-the interference edge scan — is a loop over the CFG
-and the def/use chains.  Walking the object graph (`Function` → `BasicBlock`
-→ instruction objects, label-keyed dicts at every hop) makes each step of
-those loops a hash lookup plus attribute dereferences.  `FlatFunction`
-lowers the function *once* into dense integer tables so the same loops run
-over `array('l')` rows and int masks:
+the interference edge scan — is a loop over the CFG and the def/use chains.
+Walking the object graph (`Function` → `BasicBlock` → instruction objects,
+label-keyed dicts at every hop) would make each step of those loops a hash
+lookup plus attribute dereferences, so `FlatFunction` lowers the function
+*once* into dense integer tables and both loops run only over its
+`array('l')` rows and int masks:
 
 * blocks become dense ids ``0 .. n-1`` in **reverse post-order** (unreachable
   blocks appended in declaration order), so a block id *is* its RPO position
@@ -20,8 +20,7 @@ over `array('l')` rows and int masks:
   CHAITIN interference variant consults);
 * the per-block liveness transfer masks (defs, upward-exposed uses, φ-defs)
   and the per-edge φ-argument masks are precomputed in the same shapes
-  `BitLivenessSets` uses, so the flat and object solvers are bit-for-bit
-  interchangeable.
+  the bit-set liveness solve consumes.
 
 The arena is registered as a cached analysis (generation-stamped like every
 other entry in :class:`~repro.pipeline.analysis.AnalysisCache`) and is
@@ -94,7 +93,7 @@ class FlatFunction:
             numbering = VariableNumbering.of_function(function)
         #: The lowered function and the shared variable numbering.  The
         #: numbering is *appended to* (``ensure``) while lowering, exactly as
-        #: the bit-set liveness constructor does, so ids agree across cores.
+        #: the bit-set liveness constructor does, so ids agree with its rows.
         self.function = function
         self.numbering = numbering
         self._build({})
@@ -107,6 +106,25 @@ class FlatFunction:
         """Lower ``function`` into a fresh arena (alias of the constructor)."""
         return cls(function, numbering)
 
+    @classmethod
+    def current(
+        cls,
+        flat: Optional["FlatFunction"],
+        function: Function,
+        numbering: VariableNumbering,
+    ) -> "FlatFunction":
+        """``flat`` when it is a lowering of ``function`` over ``numbering``
+        at the function's current generation, else a fresh lowering — the
+        rule every arena consumer handed a possibly stale arena follows."""
+        if (
+            flat is not None
+            and flat.function is function
+            and flat.numbering is numbering
+            and flat.generation == function.generation
+        ):
+            return flat
+        return cls(function, numbering)
+
     # -- lowering -------------------------------------------------------------
     @staticmethod
     def _lower_block(block, numbering: VariableNumbering) -> _Segment:
@@ -115,9 +133,9 @@ class FlatFunction:
         φ rows come first (their arguments are edge uses, so their use mask
         is 0 here and lives in the φ-edge tables instead), then the
         body/pcopy/terminator rows in schedule order — the same order
-        ``block.instructions(include_phis=False)`` yields.  The running defs
-        mask reproduces ``BitLivenessSets._block_masks``: a use is
-        upward-exposed iff no earlier row in the block defined it.
+        ``block.instructions(include_phis=False)`` yields.  A use is
+        upward-exposed iff no earlier row in the block defined it (the
+        running defs mask).
 
         This is the hot loop of a lowering (one pass over every instruction
         of the function), so ``Copy`` / ``ParallelCopy`` operands are read
@@ -308,8 +326,8 @@ class FlatFunction:
         self.def_ids = def_ids
         self.def_src = def_src
 
-        # φ-argument edge masks: label-keyed (what the object solver reads)
-        # and aligned with the successor CSR (what the flat solver reads).
+        # φ-argument edge masks: label-keyed (the round-trip view) and
+        # aligned with the successor CSR (what the liveness solve reads).
         phi_edge: Dict[Tuple[str, str], int] = {}
         for label, block in blocks.items():
             for phi in block.phis:
@@ -401,7 +419,7 @@ class FlatFunction:
         ]
 
     def block_masks(self, label: str) -> Tuple[int, int, int]:
-        """(defs, upward-exposed, φ-defs) masks — ``_block_masks`` shape."""
+        """(defs, upward-exposed, φ-defs) masks of one block."""
         block_id = self.ids[label]
         return (
             self.defs_mask[block_id],

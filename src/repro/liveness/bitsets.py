@@ -9,9 +9,15 @@ interference bit-matrix) and every live-in / live-out set is a
 ``ceil(#variables / 8) * #basicblocks * 2`` that Figure 7 evaluates — here it
 is also *measured*, through the allocation tracker.
 
-The fixpoint is solved with a worklist seeded in post-order (the orders come
-from :mod:`repro.cfg.traversal`), the fastest single-sweep direction for a
-backward problem; a block is re-queued only when the live-in set of one of
+The fixpoint is solved over the :class:`~repro.ir.flat.FlatFunction` arena
+(block ids are RPO positions, edges are CSR rows, the per-block transfer
+masks are list entries), so each worklist step is pure int indexing:
+
+    out(b)    = OR over successors s of (in(s) & ~phi_defs(s)) | phi_edge(b, s)
+    new_in(b) = upward(b) | (out(b) & ~defs(b))
+
+The worklist is seeded in post-order, the fastest single-sweep direction for
+a backward problem; a block is re-queued only when the live-in set of one of
 its successors actually changes, instead of re-sweeping the whole function
 round-robin as the ordered-set backend does.
 
@@ -23,9 +29,9 @@ live-in of the φ's block) and φ-results are defined at the top of their block.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional
 
-from repro.cfg.traversal import reverse_postorder
+from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
 from repro.ir.instructions import Variable
 from repro.liveness.base import LivenessOracle
@@ -44,10 +50,15 @@ class BitLivenessSets(LivenessOracle):
         self,
         function: Function,
         numbering: Optional[VariableNumbering] = None,
+        flat: Optional[FlatFunction] = None,
     ) -> None:
         """``numbering`` lets one dense numbering be shared with the
         interference bit-matrix: when given, the function's variables are
-        appended to it instead of numbering them into a private instance."""
+        appended to it instead of numbering them into a private instance.
+
+        ``flat`` shares an arena (the analysis cache passes its
+        generation-stamped instance); when absent or stale, one is lowered
+        privately — the solver never mutates it."""
         super().__init__(function)
         if numbering is None:
             numbering = VariableNumbering.of_function(function)
@@ -61,105 +72,90 @@ class BitLivenessSets(LivenessOracle):
         #: :class:`BitSet` views over them, rebuilt per-row when they change.
         self._bits_in: Dict[str, int] = {}
         self._bits_out: Dict[str, int] = {}
-        #: Per-block (defs, upward-exposed, φ-defs) masks and φ-edge masks.
-        self._masks: Dict[str, Tuple[int, int, int]] = {}
-        self._phi_edge: Dict[Tuple[str, str], int] = {}
+        #: The arena the solve runs over.
+        self.flat = FlatFunction.current(flat, function, numbering)
         self._solve()
         self._record_footprint()
 
     # -- data-flow computation ------------------------------------------------
-    def _block_masks(self, block_label: str) -> Tuple[int, int, int]:
-        """(defs, upward-exposed uses, φ-defs) of a block, as bit masks."""
-        block = self.function.blocks[block_label]
-        ensure = self.numbering.ensure
-        defs = 0
-        upward = 0
-        for instruction in block.instructions(include_phis=False):
-            for var in instruction.uses():
-                bit = 1 << ensure(var)
-                if not defs & bit:
-                    upward |= bit
-            for var in instruction.defs():
-                defs |= 1 << ensure(var)
-        phi_defs = 0
-        for phi in block.phis:
-            phi_defs |= 1 << ensure(phi.dst)
-        return defs | phi_defs, upward & ~phi_defs, phi_defs
-
-    def _phi_edge_masks(self) -> Dict[Tuple[str, str], int]:
-        """Mask of variables read by φs of ``succ`` on each ``pred -> succ`` edge."""
-        ensure = self.numbering.ensure
-        masks: Dict[Tuple[str, str], int] = {}
-        for label, block in self.function.blocks.items():
-            for phi in block.phis:
-                for pred, arg in phi.args.items():
-                    if isinstance(arg, Variable):
-                        key = (pred, label)
-                        masks[key] = masks.get(key, 0) | 1 << ensure(arg)
-        return masks
-
-    def _sweep(
-        self,
-        live_in: Dict[str, int],
-        live_out: Dict[str, int],
-        worklist: "deque[str]",
-        queued: Set[str],
-    ) -> None:
-        """Run the backward transfer to a fixpoint over raw int masks."""
-        masks = self._masks
-        phi_edge = self._phi_edge
-        successors = self.function.successors
-        predecessors = self.function.predecessors
-        while worklist:
-            label = worklist.popleft()
-            queued.discard(label)
-            out = 0
-            for successor in successors(label):
-                out |= live_in[successor] & ~masks[successor][2]
-                out |= phi_edge.get((label, successor), 0)
-            live_out[label] = out
-            defs, upward, _phi_defs = masks[label]
-            new_in = upward | (out & ~defs)
-            if new_in != live_in[label]:
-                live_in[label] = new_in
-                for predecessor in predecessors(label):
-                    if predecessor not in queued:
-                        queued.add(predecessor)
-                        worklist.append(predecessor)
-
-    def _rpo_order(self) -> List[str]:
-        """Every block in reverse post-order; unreachable blocks are appended
-        after the reachable ones, in declaration order (the ordered backend
-        computes liveness for them too, and exact equality with it is a
-        tested invariant)."""
-        order = reverse_postorder(self.function)
-        reached = set(order)
-        order += [label for label in self.function.blocks if label not in reached]
-        return order
-
     def _solve(self) -> None:
         function = self.function
-        labels = list(function.blocks)
-        self._masks = {label: self._block_masks(label) for label in labels}
-        self._phi_edge = self._phi_edge_masks()
+        flat = self.flat
+        num_blocks = len(flat.labels)
+        ids = flat.ids
+        live_in = [0] * num_blocks
+        live_out = [0] * num_blocks
+        # Backward problem: seed the worklist in post-order (block ids are
+        # RPO positions, so ids descending) so most information flows in one
+        # pass.
+        self._sweep(
+            flat,
+            live_in,
+            live_out,
+            deque(range(num_blocks - 1, -1, -1)),
+            bytearray(b"\x01") * num_blocks,
+        )
 
-        live_in = {label: 0 for label in labels}
-        live_out = {label: 0 for label in labels}
-        # Backward problem: seed the worklist with the blocks in post-order
-        # (last block of the RPO first) so most information flows in one pass.
-        self._sweep(live_in, live_out, deque(reversed(self._rpo_order())), set(labels))
-
-        # The numbering may have grown while scanning (defensive: variables()
+        # The numbering may have grown while lowering (defensive: variables()
         # already covers every def and use).
         universe = len(self.numbering)
-        self._bits_in = live_in
-        self._bits_out = live_out
-        self.live_in = {
-            label: BitSet.from_bits(universe, live_in[label]) for label in labels
-        }
-        self.live_out = {
-            label: BitSet.from_bits(universe, live_out[label]) for label in labels
-        }
+        from_bits = BitSet.from_bits
+        bits_in: Dict[str, int] = {}
+        bits_out: Dict[str, int] = {}
+        view_in: Dict[str, BitSet] = {}
+        view_out: Dict[str, BitSet] = {}
+        for label in function.blocks:
+            block_id = ids[label]
+            row_in = live_in[block_id]
+            row_out = live_out[block_id]
+            bits_in[label] = row_in
+            bits_out[label] = row_out
+            view_in[label] = from_bits(universe, row_in)
+            view_out[label] = from_bits(universe, row_out)
+        self._bits_in = bits_in
+        self._bits_out = bits_out
+        self.live_in = view_in
+        self.live_out = view_out
+
+    @staticmethod
+    def _sweep(
+        flat: FlatFunction,
+        live_in: List[int],
+        live_out: List[int],
+        worklist: "deque[int]",
+        queued: bytearray,
+    ) -> None:
+        """Run the backward transfer to a fixpoint over the arena's int rows:
+        when a block's live-in changes, its predecessors are queued unless
+        already queued."""
+        succ_off = flat.succ_off
+        succ_ids = flat.succ_ids
+        edge_phi = flat.edge_phi
+        pred_off = flat.pred_off
+        pred_ids = flat.pred_ids
+        defs_mask = flat.defs_mask
+        upward_mask = flat.upward_mask
+        phi_defs_mask = flat.phi_defs_mask
+        popleft = worklist.popleft
+        append = worklist.append
+        while worklist:
+            block = popleft()
+            queued[block] = 0
+            out = 0
+            for position in range(succ_off[block], succ_off[block + 1]):
+                successor = succ_ids[position]
+                out |= (live_in[successor] & ~phi_defs_mask[successor]) | edge_phi[
+                    position
+                ]
+            live_out[block] = out
+            new_in = upward_mask[block] | (out & ~defs_mask[block])
+            if new_in != live_in[block]:
+                live_in[block] = new_in
+                for position in range(pred_off[block], pred_off[block + 1]):
+                    predecessor = pred_ids[position]
+                    if not queued[predecessor]:
+                        queued[predecessor] = 1
+                        append(predecessor)
 
     def _record_footprint(self) -> None:
         record_allocation(self.category, self.footprint_bytes())

@@ -33,14 +33,6 @@ INTERFERENCE_BACKENDS: Dict[str, str] = {
 #: Policies for a φ-argument defined by the predecessor's terminator.
 ON_BRANCH_DEF_POLICIES = ("split", "error")
 
-#: The pluggable IR cores driving the hot sweeps (CLI ``--core``,
-#: ``repro list``).  Representation-only: both cores translate every
-#: function bit-identically (IR text and stats counters alike).
-CORE_BACKENDS: Dict[str, str] = {
-    "flat": "contiguous int-array arena (CSR tables) for the hot sweeps",
-    "objects": "object-graph walks (reference implementation, differential baseline)",
-}
-
 #: Verification levels (mirrors ``repro.verify.stages.VERIFY_LEVELS``; spelled
 #: out here so this module never imports the verify package).
 VERIFY_LEVELS = ("off", "fast", "full")
@@ -77,25 +69,12 @@ class EngineConfig:
     #: bit-identically to an unchecked one, so this knob is excluded from
     #: :meth:`fingerprint`.
     verify_level: str = "off"
-    #: IR core driving the hot sweeps: "flat" (contiguous int-array arena,
-    #: the default) or "objects" (object-graph walks, kept as the
-    #: differential-testing baseline).  Representation-only — the cores
-    #: translate bit-identically — so, like ``verify_level``, excluded from
-    #: :meth:`fingerprint`; it *does* participate in dataclass equality, so
-    #: an external :class:`~repro.pipeline.analysis.AnalysisCache` is never
-    #: shared across cores.
-    core: str = "flat"
 
     def __post_init__(self) -> None:
         if self.verify_level not in VERIFY_LEVELS:
             known = ", ".join(VERIFY_LEVELS)
             raise ValueError(
                 f"unknown verify level {self.verify_level!r}; known levels: {known}"
-            )
-        if self.core not in CORE_BACKENDS:
-            known = ", ".join(sorted(CORE_BACKENDS))
-            raise ValueError(
-                f"unknown IR core {self.core!r}; known cores: {known}"
             )
         if self.interference not in INTERFERENCE_BACKENDS:
             known = ", ".join(sorted(INTERFERENCE_BACKENDS))
@@ -133,10 +112,7 @@ class EngineConfig:
 
         ``verify_level`` is likewise excluded: verification only *observes*
         the translation, so checked and unchecked runs of the same engine
-        produce (and may share) identical cached translations.  ``core`` is
-        excluded for the same reason — the flat and object cores are
-        bit-identical representations of the same translation (a property
-        test enforces it), so either may serve a cache warmed by the other.
+        produce (and may share) identical cached translations.
         """
         payload = "|".join(
             (
@@ -287,14 +263,6 @@ class EngineConfigBuilder:
         self._overrides["verify_level"] = level
         return self
 
-    def core(self, kind: str) -> "EngineConfigBuilder":
-        """Select the IR core (``flat`` / ``objects``)."""
-        if kind not in CORE_BACKENDS:
-            known = ", ".join(sorted(CORE_BACKENDS))
-            raise ValueError(f"unknown IR core {kind!r}; known cores: {known}")
-        self._overrides["core"] = kind
-        return self
-
     # -- terminal ------------------------------------------------------------
     def _derived_suffixes(self) -> List[str]:
         """One short tag per knob that differs from the base configuration."""
@@ -314,8 +282,6 @@ class EngineConfigBuilder:
             parts.append(str(overrides["on_branch_def"]))
         if overrides.get("verify_level", base.verify_level) != base.verify_level:
             parts.append(f"verify_{overrides['verify_level']}")
-        if overrides.get("core", base.core) != base.core:
-            parts.append(f"{overrides['core']}_core")
         return parts
 
     def build(self) -> EngineConfig:

@@ -37,20 +37,11 @@ class OutOfSSAStats:
     elapsed_seconds: float = 0.0
     #: Interference backend the run used ("matrix" / "query").
     interference_backend: str = ""
-    #: Worker threads the parallel coalescing prefilter ran on (0 = the
-    #: ordinary serial sweep; service shards opt in).
-    coalesce_workers: int = 0
-    #: Merge candidates the parallel prefilter rejected from the initial
-    #: class-row masks (each saved the serial sweep one class-vs-class check).
-    prefiltered_merges: int = 0
     #: Measured bytes of the interference bit-matrix (0 for the query backend).
     matrix_bytes: int = 0
-    #: IR core the run used ("flat" arena sweeps or "objects" walks).
-    #: Representation-only — excluded from the cross-core identity checks.
-    core: str = ""
     #: Wall-clock milliseconds of the one-time flat-arena lowering
-    #: (:class:`~repro.ir.flat.FlatFunction`; 0 when the objects core ran or
-    #: no flat consumer was built).
+    #: (:class:`~repro.ir.flat.FlatFunction`; 0 when no arena consumer — the
+    #: bit-set liveness solve or the matrix scan — was built).
     lowering_ms: float = 0.0
     #: Measured bytes of the flat arena tables — reported next to
     #: ``matrix_bytes`` in the Figure 7 lane (0 without a flat lowering).

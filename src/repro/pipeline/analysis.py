@@ -65,14 +65,12 @@ from repro.cfg.dominance import DominatorTree
 from repro.cfg.frequency import estimate_block_frequencies
 from repro.coalescing.variants import variant_by_name
 from repro.interference.base import InterferenceKind, InterferenceOracle, QueryInterference
-from repro.interference.flatcore import FlatMatrixInterference
 from repro.interference.graph import MatrixInterference
 from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
 from repro.liveness.base import LivenessOracle
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
-from repro.liveness.flatcore import FlatBitLiveness
 from repro.liveness.intersection import IntersectionOracle
 from repro.liveness.livecheck import LivenessChecker
 from repro.liveness.numbering import VariableNumbering
@@ -131,49 +129,25 @@ def build_interference_backend(
     The interference notion comes from the engine's coalescing variant; the
     :class:`~repro.ssa.values.ValueTable` is requested from the cache
     unconditionally, exactly as the pass always has (so the measured Figure 7
-    footprints stay comparable across backends).
-
-    Cache keys stay the *base* backend types regardless of the engine's
-    ``core``: with ``core="flat"`` the matrix backend is constructed as its
-    flat-core subclass (sharing the cached :class:`~repro.ir.flat.FlatFunction`
-    arena), which every ``isinstance`` check downstream sees through
-    unchanged.
+    footprints stay comparable across backends).  The matrix backend scans
+    the cached :class:`~repro.ir.flat.FlatFunction` arena.
     """
     function = cache.function
     kind: InterferenceKind = variant_by_name(cache.config.coalescing).interference
     values = cache.get(ValueTable)
-    flat_core = cache.config.core == "flat"
     if backend_class is None:
         backend_class = cache.interference_class()
     oracle = cache.get(IntersectionOracle)
     if backend_class is MatrixInterference:
-        if flat_core:
-            return FlatMatrixInterference(
-                function, oracle, kind, values,
-                universe=universe, numbering=cache.get(VariableNumbering),
-                flat=cache.get(FlatFunction),
-            )
         return MatrixInterference(
             function, oracle, kind, values,
             universe=universe, numbering=cache.get(VariableNumbering),
+            flat=cache.get(FlatFunction),
         )
     return QueryInterference(function, oracle, kind, values)
 
 
 AnalysisBuilder = Callable[["AnalysisCache"], object]
-
-def _build_bit_liveness(cache: "AnalysisCache") -> BitLivenessSets:
-    """Bit-set liveness under the `BitLivenessSets` cache key; the engine's
-    ``core`` knob decides the construction (flat arena vs object walk) —
-    the instances are behaviourally and bit-for-bit interchangeable."""
-    if cache.config.core == "flat":
-        return FlatBitLiveness(
-            cache.function,
-            numbering=cache.get(VariableNumbering),
-            flat=cache.get(FlatFunction),
-        )
-    return BitLivenessSets(cache.function, numbering=cache.get(VariableNumbering))
-
 
 _DEFAULT_BUILDERS: Dict[type, AnalysisBuilder] = {
     DominatorTree: lambda cache: DominatorTree(cache.function),
@@ -182,7 +156,11 @@ _DEFAULT_BUILDERS: Dict[type, AnalysisBuilder] = {
         cache.function, cache.get(VariableNumbering)
     ),
     LivenessSets: lambda cache: LivenessSets(cache.function),
-    BitLivenessSets: _build_bit_liveness,
+    BitLivenessSets: lambda cache: BitLivenessSets(
+        cache.function,
+        numbering=cache.get(VariableNumbering),
+        flat=cache.get(FlatFunction),
+    ),
     LivenessChecker: lambda cache: LivenessChecker(cache.function),
     IntersectionOracle: lambda cache: IntersectionOracle(
         cache.function, cache.liveness(), cache.get(DominatorTree)

@@ -172,7 +172,10 @@ class CoalescingPass(Pass):
         for register, group in pinned_register_groups(ctx.function).items():
             classes.make_class(list(group), register=register)
 
-        run_stats = self._coalesce(ctx, classes)
+        coalescer = AggressiveCoalescer(
+            classes, skip_copy_pair=ctx.variant.skip_copy_pair, ordering=ctx.variant.ordering
+        )
+        run_stats = coalescer.run(ctx.affinities)
         ctx.stats.coalesced = run_stats.coalesced
         if ctx.variant.sharing:
             ctx.stats.shared = apply_copy_sharing(
@@ -181,19 +184,6 @@ class CoalescingPass(Pass):
 
         ctx.classes = classes
         ctx.coalescing = run_stats
-
-    def _coalesce(self, ctx, classes: CongruenceClasses):
-        """Run the coalescing loop itself — the seam subclasses override.
-
-        The service's :class:`~repro.service.scheduler.ParallelCoalescingPass`
-        replaces this with the class-row prefilter + serial confirmation
-        sweep; everything around it (pre-coalescing, sharing, stats wiring)
-        is shared so both spellings stay bit-identical by construction.
-        """
-        coalescer = AggressiveCoalescer(
-            classes, skip_copy_pair=ctx.variant.skip_copy_pair, ordering=ctx.variant.ordering
-        )
-        return coalescer.run(ctx.affinities)
 
 
 # --------------------------------------------------------------------------- phase 4

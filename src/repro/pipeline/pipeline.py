@@ -200,7 +200,6 @@ class Pipeline:
         """
         tracker = tracker if tracker is not None else AllocationTracker()
         stats = OutOfSSAStats()
-        stats.core = self.config.core
         external_cache = cache is not None
         if cache is None:
             cache = AnalysisCache(function, self.config)

@@ -45,17 +45,10 @@ class Session:
         optimize: bool = False,
         abi: bool = False,
         warm: bool = False,
-        pipeline: Optional[Pipeline] = None,
     ) -> None:
-        """``pipeline`` overrides the standard ``Pipeline.for_engine``
-        construction (the service uses it to swap in the parallel coalescing
-        pass); ``engine`` is ignored when it is given."""
-        if pipeline is not None:
-            self.pipeline = pipeline
-        else:
-            self.pipeline = Pipeline.for_engine(
-                engine, construct_ssa=construct_ssa, optimize=optimize, abi=abi
-            )
+        self.pipeline = Pipeline.for_engine(
+            engine, construct_ssa=construct_ssa, optimize=optimize, abi=abi
+        )
         #: Warm mode: retain one analysis cache per function object and hand
         #: it to every re-translation of that function.
         self.warm = warm

@@ -15,8 +15,7 @@ hot functions:
   front of one cache;
 * :mod:`repro.service.scheduler` — :class:`ShardedScheduler`, the sharded
   work queue partitioning request batches across N digest-affine shards
-  (threads for warm traffic, processes for cold batches), plus the in-shard
-  parallel coalescing mode over the congruence-class matrix rows;
+  (threads for warm traffic, processes for cold batches);
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a stdlib-only
   asyncio socket daemon (``repro serve``) speaking an id-tagged, pipelined
   newline-delimited-JSON protocol with streamed batches, admission control
@@ -33,15 +32,9 @@ warm-vs-cold lifecycle.
 from repro.service.cache import CachedTranslation, CacheStats, TranslationCache, WarmState
 from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.metrics import LatencyHistogram, MetricsRegistry
-from repro.service.scheduler import (
-    ParallelCoalescingPass,
-    ShardedScheduler,
-    ShardStats,
-    parallel_coalesce,
-    shard_of,
-)
+from repro.service.scheduler import ShardedScheduler, ShardStats, shard_of
 from repro.service.server import TranslationServer
-from repro.service.translator import ServiceResult, TranslationService, service_pipeline
+from repro.service.translator import ServiceResult, TranslationService
 
 __all__ = [
     "AsyncServiceClient",
@@ -49,7 +42,6 @@ __all__ = [
     "CachedTranslation",
     "LatencyHistogram",
     "MetricsRegistry",
-    "ParallelCoalescingPass",
     "ServiceClient",
     "ServiceError",
     "ServiceResult",
@@ -59,7 +51,5 @@ __all__ = [
     "TranslationServer",
     "TranslationService",
     "WarmState",
-    "parallel_coalesce",
-    "service_pipeline",
     "shard_of",
 ]

@@ -1,37 +1,14 @@
 """Sharded concurrent scheduling of translation requests.
 
-Two layers of parallelism, matching the issue's shard model:
-
-* **Across shards** — :class:`ShardedScheduler` partitions a request batch
-  over N shards by *digest affinity* (``shard_of``): the same program always
-  lands on the same shard, so each shard's content-addressed cache stays
-  coherent without any cross-shard locking.  Warm traffic (hits) is served
-  from the parent's shard caches directly; cold remainders run either on a
-  thread per shard (``mode="thread"`` — hits dominate warm traffic, the GIL
-  is irrelevant to dict lookups) or a process per shard (``mode="process"``
-  — cold translation is CPU-bound Python, so cold-heavy batches fan out to
-  real cores; results are adopted back into the parent caches and are warm
-  from then on).
-
-* **Within a shard** — :func:`parallel_coalesce` splits the *independent
-  congruence-class merge candidates* of one translation over the matrix
-  class rows (``slot_mask`` / ``adj_mask`` of
-  :mod:`repro.interference.congruence`): every candidate pair's
-  class-vs-class verdict is one AND of precomputed masks, evaluated across a
-  thread pool, and only the surviving candidates enter the serial
-  confirmation sweep.
-
-Why the prefilter is sound (and bit-identical to the serial sweep): under
-merges, a class's ``slot_mask``/``adj_mask`` only ever *grow* (coalescing ORs
-the parents' rows) and an assigned register is never shed — so "these two
-classes interfere" is **monotone**: a pair that interferes under the initial
-masks still interferes whenever the serial sweep would have examined it, and
-no chain of merges can ever join the two classes (any joining merge would be
-refused by the same grown masks).  Rejecting those pairs up front therefore
-changes neither the final classes nor the set of coalesced affinities; the
-confirmation sweep processes the survivors in exactly the serial order with
-live masks.  ``tests/property/test_service_cache_props.py`` asserts the
-bit-identity end to end.
+:class:`ShardedScheduler` partitions a request batch over N shards by
+*digest affinity* (``shard_of``): the same program always lands on the same
+shard, so each shard's content-addressed cache stays coherent without any
+cross-shard locking.  Warm traffic (hits) is served from the parent's shard
+caches directly; cold remainders run either on a thread per shard
+(``mode="thread"`` — hits dominate warm traffic, the GIL is irrelevant to
+dict lookups) or a process per shard (``mode="process"`` — cold translation
+is CPU-bound Python, so cold-heavy batches fan out to real cores; results are
+adopted back into the parent caches and are warm from then on).
 """
 
 from __future__ import annotations
@@ -40,15 +17,11 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.coalescing.engine import AggressiveCoalescer, CoalescingStats
-from repro.interference.base import InterferenceKind
-from repro.interference.congruence import CongruenceClasses
 from repro.ir.digest import text_digest
 from repro.ir.parser import ParseError
 from repro.outofssa.config import DEFAULT_ENGINE, EngineConfig
-from repro.pipeline.phases import CoalescingPass
 from repro.pipeline.pipeline import EngineLike, resolve_engine
 from repro.service.translator import ServiceResult, TranslationService
 
@@ -62,147 +35,14 @@ def shard_of(digest: str, shards: int) -> int:
     return int(digest[:8], 16) % shards
 
 
-# --------------------------------------------------------------------------- in-shard parallel coalescing
-def parallel_coalesce(
-    classes: CongruenceClasses,
-    affinities: Sequence,
-    *,
-    ordering: str = "global",
-    workers: int = 4,
-    chunk: int = 64,
-) -> CoalescingStats:
-    """Coalesce with the class-row mask prefilter evaluated in parallel.
-
-    Falls back to the plain serial sweep whenever the prefilter would be
-    unsound or useless: no matrix-backed class rows, the linear sweep is
-    configured (it answers checks without masks), or fewer than two workers.
-    See the module docstring for the monotonicity argument; the result —
-    final classes, coalesced affinities, remaining list and its order — is
-    identical to ``AggressiveCoalescer.run`` on the same inputs.
-    """
-    coalescer = AggressiveCoalescer(classes, skip_copy_pair=False, ordering=ordering)
-    eligible = (
-        workers > 1
-        and not classes.use_linear_check
-        and getattr(classes.test, "supports_class_rows", False)
-        and classes.test.kind in (InterferenceKind.INTERSECT, InterferenceKind.VALUE)
-    )
-    if not eligible:
-        return coalescer.run(affinities)
-
-    ordered = coalescer._ordered(list(affinities))
-
-    # Phase 0 (serial): materialise the initial class-row masks.  The lazy
-    # mask computation mutates the class objects, so it must not race; after
-    # this loop the parallel phase only reads integers.
-    candidates: List[Tuple[int, int, int]] = []  # (index, left adj, right slots)
-    prefiltered: set = set()
-    register_rejects: set = set()
-    for index, affinity in enumerate(ordered):
-        left = classes.ensure(affinity.dst)
-        right = classes.ensure(affinity.src)
-        if left is right:
-            continue
-        if left.register and right.register and left.register != right.register:
-            # Register conflicts are monotone too: a class never sheds its
-            # register, so the pair can never merge — reject it up front.
-            # (Tracked apart from the mask rejections: the serial sweep
-            # answers these before ever touching the class rows, so they
-            # must not count as class_row_checks.)
-            register_rejects.add(index)
-            continue
-        left_masks = classes._row_masks(left)
-        right_masks = classes._row_masks(right)
-        if left_masks is None or right_masks is None:
-            continue  # outside the matrix universe: leave to the serial sweep
-        candidates.append((index, left_masks[1], right_masks[0]))
-
-    # Phase A (parallel): one AND per candidate pair, chunked over threads.
-    # Small candidate sets are checked inline — one chunk's worth of integer
-    # ANDs is far cheaper than pool startup, and the GIL serialises the ANDs
-    # themselves anyway (the pool pays off through per-chunk batching on
-    # large universes, not through concurrent arithmetic).
-    def check_chunk(part: Sequence[Tuple[int, int, int]]) -> List[int]:
-        return [index for index, adj, slots in part if adj & slots]
-
-    if len(candidates) <= chunk:
-        prefiltered.update(check_chunk(candidates))
-    else:
-        chunks = [candidates[i : i + chunk] for i in range(0, len(candidates), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rejected in pool.map(check_chunk, chunks):
-                prefiltered.update(rejected)
-
-    # Phase B (serial): the ordinary sweep over the survivors, in the exact
-    # serial order, with prefiltered pairs recorded as remaining directly.
-    stats = CoalescingStats()
-    for index, affinity in enumerate(ordered):
-        stats.attempted += 1
-        if index in register_rejects:
-            stats.remaining_affinities.append(affinity)
-            continue
-        if index in prefiltered:
-            classes.class_row_checks += 1  # the check happened — in parallel
-            stats.remaining_affinities.append(affinity)
-            continue
-        if classes.same_class(affinity.dst, affinity.src):
-            affinity.coalesced = True
-            stats.coalesced += 1
-            continue
-        if classes.try_coalesce(affinity.dst, affinity.src):
-            affinity.coalesced = True
-            stats.coalesced += 1
-        else:
-            stats.remaining_affinities.append(affinity)
-    stats.pair_queries = classes.pair_queries
-    stats.class_row_checks = classes.class_row_checks
-    stats.prefiltered = len(prefiltered) + len(register_rejects)
-    return stats
-
-
-class ParallelCoalescingPass(CoalescingPass):
-    """The coalescing phase with the in-shard parallel prefilter.
-
-    Eligibility is decided per run: Sreedhar-style variants (whose
-    ``skip_copy_pair`` rule exempts the copy's own pair from the check) and
-    linear-class-check engines fall back to the inherited serial sweep, so
-    the pass is safe to install unconditionally on a service pipeline.
-    """
-
-    name = "coalesce-parallel"
-
-    def __init__(self, workers: int = 4) -> None:
-        self.workers = workers
-
-    def _coalesce(self, ctx, classes: CongruenceClasses) -> CoalescingStats:
-        if ctx.variant.skip_copy_pair:
-            return super()._coalesce(ctx, classes)
-        stats = parallel_coalesce(
-            classes,
-            ctx.affinities,
-            ordering=ctx.variant.ordering,
-            workers=self.workers,
-        )
-        ctx.stats.coalesce_workers = self.workers
-        ctx.stats.prefiltered_merges = stats.prefiltered
-        return stats
-
-
 # --------------------------------------------------------------------------- process worker
-def _translate_partition(
-    config: EngineConfig, texts: List[str], parallel_coalescing: int
-) -> List[Dict[str, object]]:
+def _translate_partition(config: EngineConfig, texts: List[str]) -> List[Dict[str, object]]:
     """Translate one shard's cold remainder in a worker process.
 
     Top-level so it pickles; builds a throwaway service (no warm state — the
     parent adopts the results into its own caches) and returns payload dicts.
     """
-    service = TranslationService(
-        config,
-        capacity=0,
-        parallel_coalescing=parallel_coalescing,
-        keep_warm_state=False,
-    )
+    service = TranslationService(config, capacity=0, keep_warm_state=False)
     return [service.translate_text(text).to_payload() for text in texts]
 
 
@@ -237,7 +77,6 @@ class ShardedScheduler:
         shards: int = 4,
         mode: str = "thread",
         capacity: int = 256,
-        parallel_coalescing: int = 0,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -246,12 +85,8 @@ class ShardedScheduler:
             raise ValueError(f"unknown scheduler mode {mode!r}; known modes: {known}")
         self.engine = resolve_engine(engine)
         self.mode = mode
-        self.parallel_coalescing = parallel_coalescing
         self.services: List[TranslationService] = [
-            TranslationService(
-                self.engine, capacity=capacity, parallel_coalescing=parallel_coalescing
-            )
-            for _ in range(shards)
+            TranslationService(self.engine, capacity=capacity) for _ in range(shards)
         ]
         self.shard_stats: List[ShardStats] = [ShardStats(shard=i) for i in range(shards)]
         self._stats_lock = threading.Lock()
@@ -449,7 +284,6 @@ class ShardedScheduler:
                     _translate_partition,
                     config,
                     [texts[group[0]] for group in groups],
-                    self.parallel_coalescing,
                 )
                 for shard, groups in unique.items()
             }

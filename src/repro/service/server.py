@@ -142,7 +142,6 @@ class TranslationServer:
         shards: int = 2,
         mode: str = "thread",
         capacity: int = 256,
-        parallel_coalescing: int = 0,
         workers: Optional[int] = None,
         max_pending: int = 64,
         max_pipeline: int = 32,
@@ -154,13 +153,7 @@ class TranslationServer:
             raise ValueError(f"max_pending must be >= 0, got {max_pending}")
         if max_pipeline < 1:
             raise ValueError(f"max_pipeline must be >= 1, got {max_pipeline}")
-        self.scheduler = ShardedScheduler(
-            engine,
-            shards=shards,
-            mode=mode,
-            capacity=capacity,
-            parallel_coalescing=parallel_coalescing,
-        )
+        self.scheduler = ShardedScheduler(engine, shards=shards, mode=mode, capacity=capacity)
         self.workers = workers if workers is not None else max(2, self.scheduler.shards)
         self.max_pending = max_pending
         self.max_pipeline = max_pipeline

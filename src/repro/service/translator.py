@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.ir.digest import function_digest, text_digest
 from repro.ir.editlog import EditLog
@@ -40,7 +40,6 @@ from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
 from repro.ir.validate import validate_function
 from repro.outofssa.config import DEFAULT_ENGINE, EngineConfig
-from repro.pipeline.phases import CoalescingPass, out_of_ssa_passes
 from repro.pipeline.pipeline import EngineLike, Pipeline, resolve_engine
 from repro.pipeline.session import Session
 from repro.service.cache import CachedTranslation, TranslationCache, WarmState
@@ -86,25 +85,6 @@ class ServiceResult:
         }
 
 
-def service_pipeline(config: EngineConfig, parallel_workers: int = 0) -> Pipeline:
-    """The out-of-SSA pipeline a service session runs.
-
-    With ``parallel_workers > 1`` the coalescing phase is swapped for the
-    scheduler's :class:`~repro.service.scheduler.ParallelCoalescingPass`
-    (bit-identical by construction; see its docstring for the monotonicity
-    argument).  Imported lazily to keep translator/scheduler imports acyclic.
-    """
-    if parallel_workers > 1:
-        from repro.service.scheduler import ParallelCoalescingPass
-
-        passes = [
-            ParallelCoalescingPass(parallel_workers) if type(p) is CoalescingPass else p
-            for p in out_of_ssa_passes()
-        ]
-        return Pipeline(passes, config=config)
-    return Pipeline(out_of_ssa_passes(), config=config)
-
-
 class TranslationService:
     """One worker: cache in front, warm sessions behind."""
 
@@ -114,13 +94,11 @@ class TranslationService:
         *,
         cache: Optional[TranslationCache] = None,
         capacity: int = 256,
-        parallel_coalescing: int = 0,
         keep_warm_state: bool = True,
         validate_ingest: bool = True,
     ) -> None:
         self.default_config = resolve_engine(engine)
         self.cache = cache if cache is not None else TranslationCache(capacity)
-        self.parallel_coalescing = parallel_coalescing
         #: Structurally validate parsed requests before translating (the
         #: ingest boundary: malformed programs fail with a located error
         #: instead of deep inside a pass).
@@ -151,7 +129,6 @@ class TranslationService:
                 # warm-state retention that would be an unbounded leak, so
                 # those services run plain (cold) sessions.
                 warm=self.keep_warm_state,
-                pipeline=service_pipeline(config, self.parallel_coalescing),
             )
             self._sessions[fingerprint] = session
             self._configs[fingerprint] = config
@@ -330,7 +307,7 @@ class TranslationService:
         translated = not any(diag.is_error for diag in structural)
         if translated:
             checked = dc_replace(config, verify_level=level)
-            result = service_pipeline(checked).run(function)
+            result = Pipeline.for_engine(checked).run(function)
             report = result.verify_report
             assert report is not None
         else:
@@ -466,7 +443,6 @@ class TranslationService:
                 "engine": self.default_config.name,
                 "fingerprint": self.default_config.fingerprint(),
                 "sessions": len(self._sessions),
-                "parallel_coalescing": self.parallel_coalescing,
                 "cache": self.cache.stats().to_payload(),
             }
 

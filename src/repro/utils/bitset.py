@@ -260,23 +260,6 @@ class BitMatrix:
             if self._rows[other] >> a & 1:
                 yield other
 
-    def full_row(self, index: int) -> int:
-        """The symmetric adjacency row of ``index`` as one bit mask.
-
-        The half matrix stores pair ``{a, b}`` on the row of the larger index;
-        this assembles both halves (row bits below ``index``, column bits
-        above it) into a single mask over all current indices, with the
-        diagonal cleared.  The congruence layer keeps one such mask per
-        class — merged by OR on coalesces — for word-level class checks.
-        """
-        if index < 0 or index >= self._size:
-            return 0
-        bits = self._rows[index] & ~(1 << index)
-        for other in range(index + 1, self._size):
-            if self._rows[other] >> index & 1:
-                bits |= 1 << other
-        return bits
-
     def footprint_bytes(self) -> int:
         """Current idealised footprint of the half matrix (kept incrementally:
         ``add_variable`` reads it before/after every grow)."""

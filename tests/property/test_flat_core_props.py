@@ -1,33 +1,29 @@
-"""Property tests for the flat arena IR core (``--core flat``).
+"""Property tests for the flat arena IR (:class:`~repro.ir.flat.FlatFunction`),
+the representation the bit-set liveness solve and the matrix edge scan run on.
 
 Three claims are checked over randomized inputs:
 
 1. *Lowering round-trip* — every table of a :class:`FlatFunction` decodes
    back to exactly the object graph it was lowered from: CFG edges (order
    included), per-instruction def/use rows, the liveness transfer masks and
-   φ-edge masks (diffed against ``BitLivenessSets`` over the same
+   φ-edge masks (diffed against a decoder over the object graph and the same
    numbering) — on the stress corpus, the φ-carrying generator programs,
    and the paper's gallery figures.
 2. *EditLog patching* — after an arbitrary sequence of materialization-shaped
    edit batches, :meth:`FlatFunction.apply_edits` leaves the arena
    table-for-table equal to a fresh lowering of the edited function over the
    same numbering (the edit-log seam contract).
-3. *Cross-core bit-identity* — the full out-of-SSA pipeline produces the
-   same output IR text and the same stats counters (timing and
-   representation-provenance fields excepted) under ``core="flat"`` and
-   ``core="objects"``, for every engine configuration, on pristine and on
-   randomly edited functions — and a ``verify_level="full"`` flat-core run
-   stays diagnostic-free.
+3. *Checked runs stay clean* — a ``verify_level="full"`` translation over the
+   arena-backed analyses raises no diagnostics.
 """
 
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.corpus import CorpusSpec, generate_stress_cfg, random_edit_batch
 from repro.bench.generator import GeneratorConfig, generate_ssa_program
-from repro.bench.harness import _CORE_TIMING_FIELDS
 from repro.gallery import (
     figure1_branch_use,
     figure2_branch_with_decrement,
@@ -36,8 +32,6 @@ from repro.gallery import (
 )
 from repro.ir.flat import FlatFunction
 from repro.ir.instructions import Copy, ParallelCopy, Variable
-from repro.ir.printer import format_function
-from repro.liveness.bitsets import BitLivenessSets
 from repro.outofssa.config import ENGINE_CONFIGURATIONS
 from repro.pipeline.pipeline import Pipeline
 
@@ -103,12 +97,39 @@ def assert_roundtrip(function):
             assert list(def_src) == sources, (label, instruction)
 
     # Liveness transfer masks and φ-edge masks: exactly what the object
-    # solver computes over the same numbering.
-    bits = BitLivenessSets(function, numbering=numbering)
-    for label in function.blocks:
-        assert flat.block_masks(label) == bits._masks[label], label
-    assert flat.phi_edge == bits._phi_edge
+    # graph yields over the same numbering.
+    for label, block in function.blocks.items():
+        assert flat.block_masks(label) == _object_block_masks(block, index), label
+    assert flat.phi_edge == _object_phi_edge_masks(function, index)
     return flat
+
+
+def _object_block_masks(block, index):
+    """(defs, upward-exposed uses, φ-defs) of a block, read off its objects."""
+    defs = 0
+    upward = 0
+    for instruction in block.instructions(include_phis=False):
+        for var in instruction.uses():
+            if not defs >> index(var) & 1:
+                upward |= 1 << index(var)
+        for var in instruction.defs():
+            defs |= 1 << index(var)
+    phi_defs = 0
+    for phi in block.phis:
+        phi_defs |= 1 << index(phi.dst)
+    return defs | phi_defs, upward & ~phi_defs, phi_defs
+
+
+def _object_phi_edge_masks(function, index):
+    """Mask of the variables φs of ``succ`` read on each ``pred -> succ`` edge."""
+    masks = {}
+    for label, block in function.blocks.items():
+        for phi in block.phis:
+            for pred, arg in phi.args.items():
+                if isinstance(arg, Variable):
+                    key = (pred, label)
+                    masks[key] = masks.get(key, 0) | 1 << index(arg)
+    return masks
 
 
 @settings(max_examples=20, deadline=None)
@@ -164,68 +185,24 @@ def test_apply_edits_equals_fresh_lowering(seed, blocks, depth, batches):
             assert getattr(flat, name) == getattr(fresh, name), name
 
 
-def translate(function, engine, core):
-    result = Pipeline.for_engine(replace(engine, core=core)).run(function)
-    stats = asdict(result.stats)
-    for name in _CORE_TIMING_FIELDS:
-        stats.pop(name, None)
-    return format_function(result.function), stats
-
-
-@settings(max_examples=6, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    size=st.integers(min_value=10, max_value=50),
-)
-def test_cores_bit_identical_across_all_engines(seed, size):
-    """Output IR text and stats counters agree between the cores, for every
-    engine configuration (all liveness and interference backends)."""
-    prototype = generate_ssa_program(GeneratorConfig(seed=seed, size=size))
-    for engine in ENGINE_CONFIGURATIONS:
-        assert translate(prototype.copy(), engine, "objects") == translate(
-            prototype.copy(), engine, "flat"
-        ), engine.name
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    blocks=st.integers(min_value=8, max_value=100),
-    batches=st.integers(min_value=1, max_value=3),
-)
-def test_cores_bit_identical_after_random_edit_batches(seed, blocks, batches):
-    """Cross-core identity survives arbitrary pre-translation edit batches —
-    the edited CFG shapes (spliced blocks, rewired edges, fresh variables)
-    exercise lowerings no pristine corpus function produces."""
-    engine = next(e for e in ENGINE_CONFIGURATIONS if e.name == "us_i")
-    prototype = generate_stress_cfg(
-        CorpusSpec(seed=seed, blocks=blocks, loop_depth=4, variables=6)
-    )
-    for batch in range(batches):
-        random_edit_batch(prototype, seed=seed ^ (batch + 1))
-    assert translate(prototype.copy(), engine, "objects") == translate(
-        prototype.copy(), engine, "flat"
-    )
-
-
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     size=st.integers(min_value=10, max_value=40),
 )
-def test_flat_core_full_verification_stays_clean(seed, size):
-    """A ``verify_level="full"`` flat-core translation raises no diagnostics:
-    every stage checker (φ-isolation, liveness, interference, coalescing,
+def test_arena_backed_full_verification_stays_clean(seed, size):
+    """A ``verify_level="full"`` translation raises no diagnostics: every
+    stage checker (φ-isolation, liveness, interference, coalescing,
     materialization, sequentialization) passes over the arena-backed run."""
     function = generate_ssa_program(GeneratorConfig(seed=seed, size=size))
-    engine = replace(ENGINE_CONFIGURATIONS[0], core="flat", verify_level="full")
+    engine = replace(ENGINE_CONFIGURATIONS[0], verify_level="full")
     result = Pipeline.for_engine(engine).run(function)
     assert result.stats.verify_diagnostics == 0, result.verify_report
     assert result.stats.verify_errors == 0
 
 
-def test_flat_core_full_verification_clean_on_gallery():
+def test_arena_backed_full_verification_clean_on_gallery():
     for make in GALLERY:
-        engine = replace(ENGINE_CONFIGURATIONS[0], core="flat", verify_level="full")
+        engine = replace(ENGINE_CONFIGURATIONS[0], verify_level="full")
         result = Pipeline.for_engine(engine).run(make())
         assert result.stats.verify_diagnostics == 0, result.verify_report

@@ -5,7 +5,10 @@ worklist) must answer every block-level liveness query identically to the
 round-robin ordered-set oracle ``LivenessSets``, on arbitrary CFGs from the
 workload generator — both on raw SSA functions and after Method I φ-copy
 insertion (the shape the engines actually analyse) — and on the non-SSA
-stress corpus, the input SSA construction prunes its φs with.
+stress corpus, the input SSA construction prunes its φs with.  The solve runs
+over a :class:`~repro.ir.flat.FlatFunction` arena: one passed in is used
+while current and replaced by a private lowering once the function has moved
+past it.
 """
 
 from unittest import mock
@@ -14,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.corpus import CorpusSpec, generate_stress_cfg
+from repro.bench.corpus import CorpusSpec, generate_stress_cfg, random_edit_batch
 from repro.bench.generator import GeneratorConfig, generate_ssa_program
 from repro.bench.suite import build_suite
+from repro.ir.flat import FlatFunction
 from repro.ir.instructions import Branch, Constant, Op, Return
 from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
@@ -26,9 +30,10 @@ from repro.outofssa.method_i import insert_phi_copies
 from repro.ssa import construction
 
 
-def assert_same_liveness(function):
+def assert_same_liveness(function, bits=None):
     reference = LivenessSets(function)
-    bits = BitLivenessSets(function)
+    if bits is None:
+        bits = BitLivenessSets(function)
     variables = function.variables()
     for label in function.blocks:
         for var in variables:
@@ -141,6 +146,31 @@ def test_bitset_liveness_matches_reference_before_ssa(
     if prologue:
         insert_zero_init_prologue(function)
     assert_same_liveness(function)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    blocks=st.integers(min_value=10, max_value=120),
+    irreducible=st.sampled_from([0.0, 0.05, 0.15]),
+    batch_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_bitset_liveness_over_a_shared_or_stale_arena(seed, blocks, irreducible, batch_seed):
+    """A current arena is solved over as given; once an edit batch moved the
+    function past it, the solve lowers a fresh one instead of reading the
+    stale tables."""
+    function = stress_function(seed, blocks, irreducible)
+    flat = FlatFunction(function)
+    shared = BitLivenessSets(function, numbering=flat.numbering, flat=flat)
+    assert shared.flat is flat
+    assert_same_liveness(function, shared)
+
+    random_edit_batch(function, seed=batch_seed)
+    assert flat.generation != function.generation
+    relowered = BitLivenessSets(function, numbering=flat.numbering, flat=flat)
+    assert relowered.flat is not flat
+    assert relowered.flat.generation == function.generation
+    assert_same_liveness(function, relowered)
 
 
 @settings(max_examples=25, deadline=None)

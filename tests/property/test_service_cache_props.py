@@ -2,28 +2,24 @@
 
 The content-addressed cache and the warm machinery behind it are pure
 representation choices — a served translation must be indistinguishable from
-a cold one.  Five claims:
+a cold one.  Four claims:
 
 1. *Warm ≡ cold for every engine* — for all seven Figure 6/7 engine
    configurations × both interference backends, the service's cold
    response equals a direct cold pipeline run of the same text, and the
-   subsequent cache hit returns byte-identical text, on both IR cores.
+   subsequent cache hit returns byte-identical text.
 2. *Randomized streams* — under arbitrary interleavings of programs,
    repeats and flushes, every response equals the cold reference for its
    program (Hypothesis-driven).
-3. *The parallel coalescing prefilter is invisible* — service shards with
-   ``parallel_coalescing`` enabled translate bit-identically to the serial
-   pipeline (the monotonicity argument of
-   :func:`repro.service.scheduler.parallel_coalesce`, checked end to end).
-4. *Behavioural differential* — interpreting cached vs freshly translated
+3. *Behavioural differential* — interpreting cached vs freshly translated
    outputs on corpus samples yields the same observable behaviour (return
    value + print trace), under every engine.
-5. *Warm retranslation ≡ cold* — after every batch of a random sequence of
+4. *Warm retranslation ≡ cold* — after every batch of a random sequence of
    materialization-shaped edits to a hot stress-corpus function,
    ``TranslationService.retranslate`` returns exactly the IR text and stats
    counters a fresh :class:`~repro.pipeline.Session` produces for an
    in-memory copy of the edited function (Hypothesis-driven, all seven
-   engines on both IR cores).
+   engines × both interference backends).
 """
 
 import itertools
@@ -80,14 +76,6 @@ def test_warm_cache_is_bit_identical_to_cold_for_every_engine(config, backend):
     _assert_served_like_cold(EngineConfig.builder(config).interference(backend).build())
 
 
-@pytest.mark.parametrize("config, backend", ENGINE_BACKEND_MATRIX)
-def test_warm_cache_is_bit_identical_to_cold_on_the_objects_core(config, backend):
-    """The same matrix with the analyses built from the object graph."""
-    _assert_served_like_cold(
-        EngineConfig.builder(config).interference(backend).core("objects").build()
-    )
-
-
 @settings(max_examples=15, deadline=None)
 @given(
     seeds=st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=5),
@@ -109,23 +97,6 @@ def test_random_request_streams_always_match_cold(seeds, repeats, flush_at):
             f"request {index} (seed {seed}, {result.kind}) diverged after "
             f"{'a flush' if index >= flush_at else 'no flush'}"
         )
-
-
-@pytest.mark.parametrize(
-    "engine", ["us_i", "us_iii", "sreedhar_iii", "us_i_linear_intercheck_livecheck"]
-)
-def test_parallel_coalescing_is_bit_identical(engine):
-    """Shards with the class-row prefilter translate exactly like the serial
-    pipeline — including engines where the prefilter must disable itself
-    (Sreedhar's skip-pair rule, the linear class check)."""
-    serial = TranslationService(engine, capacity=0)
-    parallel = TranslationService(engine, capacity=0, parallel_coalescing=4)
-    for seed in (5, 23, 71):
-        text = _program_text(seed, size=32)
-        assert (
-            parallel.translate_text(text).ir_text
-            == serial.translate_text(text).ir_text
-        ), f"{engine} diverged under parallel coalescing (seed {seed})"
 
 
 @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
@@ -156,11 +127,15 @@ def test_cached_outputs_behave_like_fresh_outputs(config):
 _TIMING_FIELDS = ("elapsed_seconds", "lowering_ms", "verify_ms")
 
 
-def _counters(stats) -> dict:
-    return {name: value for name, value in stats.items() if name not in _TIMING_FIELDS}
+def _counters(stats, skip=()) -> dict:
+    return {
+        name: value
+        for name, value in stats.items()
+        if name not in _TIMING_FIELDS and name not in skip
+    }
 
 
-@pytest.mark.parametrize("core", ["flat", "objects"])
+@pytest.mark.parametrize("backend", sorted(INTERFERENCE_BACKENDS))
 @pytest.mark.parametrize("engine", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
 @settings(max_examples=15, deadline=None)
 @given(
@@ -171,10 +146,15 @@ def _counters(stats) -> dict:
     batch_seeds=st.lists(st.integers(min_value=0, max_value=2**16), min_size=1, max_size=4),
 )
 def test_retranslate_is_bit_identical_to_cold(
-    engine, core, seed, blocks, depth, irreducible, batch_seeds
+    engine, backend, seed, blocks, depth, irreducible, batch_seeds
 ):
-    """15 examples for each of the 14 engine × core cases (210 in all)."""
-    engine = EngineConfig.builder(engine).core(core).build()
+    """15 examples for each of the 14 engine × interference-backend cases
+    (210 in all)."""
+    engine = EngineConfig.builder(engine).interference(backend).build()
+    # A warm LiveCheck run keeps the arena its matrix scan reads patched over
+    # the warm numbering, so the bytes that arena holds are not a cold
+    # lowering's; every counter of the translation itself must still match.
+    skip = ("flat_bytes",) if engine.liveness == "check" and backend == "matrix" else ()
     service = TranslationService(engine)
     function = generate_stress_cfg(
         CorpusSpec(
@@ -193,6 +173,6 @@ def test_retranslate_is_bit_identical_to_cold(
         assert result.ir_text == format_function(cold_copy), (
             f"{engine.name}: warm retranslation diverged from cold at step {step}"
         )
-        assert _counters(result.stats) == _counters(asdict(cold.stats)), (
+        assert _counters(result.stats, skip) == _counters(asdict(cold.stats), skip), (
             f"{engine.name}: warm stats diverged from cold at step {step}"
         )

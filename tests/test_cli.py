@@ -180,6 +180,14 @@ class TestListJson:
         assert set(catalogue["interference_backends"]) == {"matrix", "query"}
         assert set(catalogue["liveness_backends"]) == {"sets", "bitsets", "check"}
 
+    def test_removed_cores_are_not_listed(self, capsys):
+        import json
+
+        assert main(["list", "--json"]) == 0
+        catalogue = json.loads(capsys.readouterr().out)
+        assert "cores" not in catalogue
+        assert all("core" not in engine for engine in catalogue["engines"])
+
 
 class TestServiceCommands:
     def test_bench_serve_prints_and_writes_the_table(self, tmp_path, capsys):
@@ -227,6 +235,12 @@ class TestServiceCommands:
             server.shutdown()
             server.server_close()
 
+    def test_removed_prefilter_option_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--parallel-coalescing", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --parallel-coalescing" in capsys.readouterr().err
+
     def test_request_translate_needs_a_file(self):
         with pytest.raises(SystemExit, match="needs at least one IR file"):
             main(["request", "translate", "--port", "1"])
@@ -255,6 +269,13 @@ class TestInterferenceFlag:
         with pytest.raises(SystemExit):
             main(["translate", lost_copy_file, "--interference", "incremental"])
         assert "invalid choice: 'incremental'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, core", [("translate", "flat"), ("verify", "objects")])
+    def test_removed_core_option_is_rejected(self, lost_copy_file, capsys, command, core):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, lost_copy_file, "--core", core])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --core" in capsys.readouterr().err
 
     def test_list_shows_interference_backends(self, capsys):
         assert main(["list"]) == 0

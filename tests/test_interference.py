@@ -216,6 +216,13 @@ class TestBackendConfiguration:
         with pytest.raises(ValueError, match="unknown liveness backend 'incremental'"):
             EngineConfig.builder("us_i").liveness("incremental")
 
+    def test_removed_core_knob_is_not_a_field(self):
+        from repro.outofssa.config import EngineConfig
+
+        with pytest.raises(TypeError, match="core"):
+            EngineConfig(name="x", label="x", core="flat")
+        assert not hasattr(EngineConfig.builder("us_i"), "core")
+
     def test_describe_names_the_backend(self):
         from repro.outofssa.config import engine_by_name
 

@@ -128,10 +128,10 @@ def legacy_destruct_ssa(function, config):
 _STAT_FIELDS = [
     field.name
     for field in dataclasses.fields(OutOfSSAStats)
-    # Wall-clock measurements vary run to run, and the core provenance
-    # fields describe *how* the run was represented (flat arena vs object
-    # walks), not what it computed: neither is part of identity.
-    if field.name not in ("elapsed_seconds", "lowering_ms", "core", "flat_bytes")
+    # Wall-clock measurements vary run to run, and the arena fields describe
+    # *how* the run was represented, not what it computed: neither is part
+    # of identity.
+    if field.name not in ("elapsed_seconds", "lowering_ms", "flat_bytes")
 ]
 
 

@@ -7,16 +7,12 @@ import pytest
 from repro.bench.corpus import CorpusSpec, generate_stress_cfg, random_edit_batch
 from repro.bench.generator import GeneratorConfig, generate_ssa_program
 from repro.cfg.dominance import DominatorTree
-from repro.coalescing.engine import AggressiveCoalescer, collect_affinities
-from repro.interference.base import InterferenceKind
-from repro.interference.congruence import CongruenceClasses
 from repro.interference.graph import MatrixInterference
 from repro.ir import format_function, parse_function, text_digest
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.intersection import IntersectionOracle
 from repro.liveness.livecheck import LivenessChecker
 from repro.outofssa.config import ENGINE_CONFIGURATIONS, EngineConfig, engine_by_name
-from repro.outofssa.method_i import insert_phi_copies
 from repro.pipeline import Pipeline, Session
 from repro.service import (
     CachedTranslation,
@@ -26,7 +22,6 @@ from repro.service import (
     TranslationCache,
     TranslationServer,
     TranslationService,
-    parallel_coalesce,
     shard_of,
 )
 
@@ -303,67 +298,6 @@ class TestTranslationService:
         warm2 = service.retranslate(warm.digest, log2)
         Session(config).translate(cold_copy)
         assert warm2.ir_text == format_function(cold_copy)
-
-
-# --------------------------------------------------------------------------- parallel coalescing
-def _matrix_classes(function):
-    oracle = IntersectionOracle(function, BitLivenessSets(function))
-    backend = MatrixInterference(function, oracle, InterferenceKind.INTERSECT)
-    return CongruenceClasses(backend, use_linear_check=False)
-
-
-class TestParallelCoalesce:
-    @pytest.mark.parametrize(
-        "seed, abi", [(3, False), (19, False), (57, False), (19, True)]
-    )
-    def test_matches_serial_sweep_exactly(self, seed, abi):
-        build = lambda: generate_ssa_program(
-            GeneratorConfig(seed=seed, size=34, apply_abi=abi)
-        )
-        serial_fn, parallel_fn = build(), build()
-        for function in (serial_fn, parallel_fn):
-            insert_phi_copies(function)
-
-        serial_classes = _matrix_classes(serial_fn)
-        serial_stats = AggressiveCoalescer(serial_classes).run(
-            collect_affinities(serial_fn)
-        )
-        parallel_classes = _matrix_classes(parallel_fn)
-        parallel_stats = parallel_coalesce(
-            parallel_classes, collect_affinities(parallel_fn), workers=4, chunk=4
-        )
-
-        assert parallel_stats.coalesced == serial_stats.coalesced
-        assert parallel_stats.attempted == serial_stats.attempted
-        # Counter parity too: every prefiltered mask rejection replaces
-        # exactly one serial class-row check, and register conflicts bypass
-        # the row counters on both paths.
-        assert parallel_stats.class_row_checks == serial_stats.class_row_checks
-        assert parallel_stats.pair_queries == serial_stats.pair_queries
-        assert [a.key() for a in parallel_stats.remaining_affinities] == [
-            a.key() for a in serial_stats.remaining_affinities
-        ]
-        serial_sets = sorted(
-            tuple(sorted(str(v) for v in cls)) for cls in serial_classes.classes()
-        )
-        parallel_sets = sorted(
-            tuple(sorted(str(v) for v in cls)) for cls in parallel_classes.classes()
-        )
-        assert serial_sets == parallel_sets
-
-    def test_falls_back_without_class_rows(self):
-        function = generate_ssa_program(GeneratorConfig(seed=3, size=20))
-        insert_phi_copies(function)
-        from repro.interference.base import QueryInterference
-        from repro.liveness.dataflow import LivenessSets
-
-        oracle = IntersectionOracle(function, LivenessSets(function))
-        classes = CongruenceClasses(
-            QueryInterference(function, oracle, InterferenceKind.INTERSECT),
-            use_linear_check=False,
-        )
-        stats = parallel_coalesce(classes, collect_affinities(function), workers=4)
-        assert stats.prefiltered == 0  # the serial fallback ran
 
 
 # --------------------------------------------------------------------------- the scheduler

@@ -142,11 +142,15 @@ class TestPipelineVerification:
 
 
 # --------------------------------------------------------------------------- engine sweep
-def _full_verify_config(engine: str, backend: str, core: str = "flat") -> EngineConfig:
+def _full_verify_config(engine: str, backend: str) -> EngineConfig:
+    return EngineConfig.builder(engine).interference(backend).verify("full").build()
+
+
+def _matrix_over_liveness(engine: str, liveness: str) -> EngineConfig:
     return (
         EngineConfig.builder(engine)
-        .interference(backend)
-        .core(core)
+        .liveness(liveness)
+        .interference("matrix")
         .verify("full")
         .build()
     )
@@ -186,17 +190,17 @@ class TestCleanSweep:
         _assert_stress_corpus_quiet(_full_verify_config(engine, backend))
 
     @pytest.mark.parametrize("engine", [e.name for e in ENGINE_CONFIGURATIONS])
-    @pytest.mark.parametrize("backend", ["matrix", "query"])
-    def test_every_engine_and_backend_is_quiet_on_the_objects_core(self, engine, backend):
-        """The objects core builds liveness and the interference matrix by
-        walking the object graph instead of the flat arena; its translations
-        must verify just as clean."""
-        _assert_gallery_quiet(_full_verify_config(engine, backend, core="objects"))
+    @pytest.mark.parametrize("liveness", ["sets", "check"])
+    def test_matrix_over_query_liveness_is_quiet(self, engine, liveness):
+        """Without bit-set rows, the matrix scan seeds each block from
+        ``is_live_out`` queries; those translations must verify just as
+        clean."""
+        _assert_gallery_quiet(_matrix_over_liveness(engine, liveness))
 
     @pytest.mark.parametrize("engine", [e.name for e in ENGINE_CONFIGURATIONS])
-    @pytest.mark.parametrize("backend", ["matrix", "query"])
-    def test_stress_corpus_is_quiet_on_the_objects_core(self, engine, backend):
-        _assert_stress_corpus_quiet(_full_verify_config(engine, backend, core="objects"))
+    @pytest.mark.parametrize("liveness", ["sets", "check"])
+    def test_stress_corpus_matrix_over_query_liveness_is_quiet(self, engine, liveness):
+        _assert_stress_corpus_quiet(_matrix_over_liveness(engine, liveness))
 
 
 # --------------------------------------------------------------------------- CLI
