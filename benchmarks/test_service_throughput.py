@@ -4,10 +4,12 @@ The ``bench``-tier companion of the translation service (``repro serve``):
 the same repeat-heavy request stream — a few hot stress-corpus functions,
 re-requested round-robin, the JIT traffic profile — is served three ways:
 
-* **cold** — caching disabled, every request parses + translates;
+* **cold** — ``TranslationService(engine, capacity=0)``: caching disabled,
+  every request parses + translates;
 * **warm** — one content-addressed cache (IR digest × engine fingerprint):
   first occurrence cold, every repeat a hit;
-* **sharded** — the digest-affine sharded scheduler over warm shards.
+* **sharded[N]** — ``ShardedScheduler.translate_batch`` over N digest-affine
+  warm shards, served in input order in the calling thread.
 
 Bit-identity of all three response streams is checked inside the harness on
 every run; the table lands in ``benchmarks/results/service_throughput.txt``.

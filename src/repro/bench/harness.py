@@ -332,7 +332,6 @@ def run_service_throughput(
     shards: int = 4,
     engine: str = "us_i",
     scale: float = 1.0,
-    mode: str = "thread",
     seed: int = 0,
     stream: Optional[List[str]] = None,
 ) -> List[ServiceThroughputRow]:
@@ -360,7 +359,7 @@ def run_service_throughput(
     unique = len(set(stream))
     rows: List[ServiceThroughputRow] = []
 
-    cold_service = TranslationService(engine, capacity=0, keep_warm_state=False)
+    cold_service = TranslationService(engine, capacity=0)
     began = time.perf_counter()
     cold_results = [cold_service.translate_text(text) for text in stream]
     cold_seconds = time.perf_counter() - began
@@ -384,13 +383,13 @@ def run_service_throughput(
         )
     )
 
-    scheduler = ShardedScheduler(engine, shards=shards, mode=mode)
+    scheduler = ShardedScheduler(engine, shards=shards)
     began = time.perf_counter()
     sharded_results = scheduler.translate_batch(stream)
     sharded_seconds = time.perf_counter() - began
     rows.append(
         ServiceThroughputRow(
-            mode=f"sharded[{shards};{mode}]", requests=len(stream), unique=unique,
+            mode=f"sharded[{shards}]", requests=len(stream), unique=unique,
             hits=sum(1 for result in sharded_results if result.cached),
             seconds=sharded_seconds,
             speedup_vs_cold=(cold_seconds / sharded_seconds) if sharded_seconds else 0.0,

@@ -320,7 +320,6 @@ def command_serve(args: argparse.Namespace) -> int:
             (args.host, args.port),
             engine=config,
             shards=args.shards,
-            mode=args.mode,
             capacity=args.capacity,
             workers=args.workers,
             max_pending=args.max_pending,
@@ -331,7 +330,7 @@ def command_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"repro serve: {error}") from None
     # Scripts (the CI lane) parse this exact line to learn the bound port.
     print(f"repro serve: listening on {server.host}:{server.port} "
-          f"(engine {config.name}, {args.shards} shards, {args.mode} mode)",
+          f"(engine {config.name}, {args.shards} shards)",
           flush=True)
     try:
         server.serve_forever()
@@ -402,7 +401,6 @@ def command_bench_serve(args: argparse.Namespace) -> int:
             shards=args.shards,
             engine=args.engine,
             scale=args.scale,
-            mode=args.mode,
             seed=args.seed,
         )
     except KeyError as error:
@@ -591,8 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default engine configuration (see 'repro list')")
     serve.add_argument("--shards", type=int, default=2,
                        help="digest-affine translation shards")
-    serve.add_argument("--mode", default="thread", choices=("serial", "thread", "process"),
-                       help="how batch requests fan out across shards")
     serve.add_argument("--capacity", type=int, default=256,
                        help="cache entries per shard (0 disables caching)")
     serve.add_argument("--workers", type=int, default=None,
@@ -635,14 +631,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--repeat", type=int, default=6,
                              help="times the stream revisits each function")
     bench_serve.add_argument("--shards", type=int, default=4,
-                             help="shards for the sharded mode row")
+                             help="shards for the sharded row")
     bench_serve.add_argument("--engine", default="us_i",
                              help="engine configuration (see 'repro list')")
     bench_serve.add_argument("--scale", type=float, default=1.0,
                              help="multiply the corpus size (quick runs: 0.1)")
-    bench_serve.add_argument("--mode", default="thread",
-                             choices=("serial", "thread", "process"),
-                             help="scheduler mode for the sharded row")
     bench_serve.add_argument("--clients", type=int, default=0,
                              help="also run the pipelined concurrent-clients "
                                   "experiment with this many connections (0 skips)")

@@ -5,9 +5,9 @@ program in small, local ways: parallel copies appear in a handful of blocks,
 an occasional critical edge is split, congruence classes are renamed to their
 representatives.  An :class:`EditLog` records those edits as data so that a
 cached analysis can *patch* itself instead of being rebuilt from scratch —
-today the liveness checker's per-variable caches
-(:meth:`~repro.liveness.livecheck.LivenessChecker.apply_edits`) and the flat
-arena (:meth:`~repro.ir.flat.FlatFunction.apply_edits`).
+today only the liveness checker's per-variable caches
+(:meth:`~repro.liveness.livecheck.LivenessChecker.apply_edits`); every other
+analysis, the flat arena included, is dropped and rebuilt.
 
 An edit carries exactly the two facts a per-variable analysis needs:
 

@@ -23,18 +23,14 @@ lookup plus attribute dereferences, so `FlatFunction` lowers the function
   the bit-set liveness solve consumes.
 
 The arena is registered as a cached analysis (generation-stamped like every
-other entry in :class:`~repro.pipeline.analysis.AnalysisCache`) and is
-patched through the :class:`~repro.ir.editlog.EditLog` seam the mutating
-passes emit: :meth:`apply_edits` re-lowers only the touched
-blocks' instruction rows and splices the untouched spans over, rebuilding
-the (cheap) CFG tables from scratch.
+other entry in :class:`~repro.pipeline.analysis.AnalysisCache`); a pass that
+mutates the function drops it, and the next consumer lowers it afresh.
 
 Variable identity is shared, not duplicated: every id in the tables comes
 from the one :class:`~repro.liveness.numbering.VariableNumbering` the bit-set
 liveness rows and the interference bit-matrix already key on, so masks move
 between the arena, the liveness rows, and the matrix rows without any
-translation.  See ``docs/FLATIR.md`` for the full layout and the patching
-contract.
+translation.  See ``docs/FLATIR.md`` for the full layout.
 """
 
 from __future__ import annotations
@@ -44,14 +40,12 @@ from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.cfg.traversal import reverse_postorder
-from repro.ir.editlog import EditLog
 from repro.ir.function import Function
 from repro.ir.instructions import Copy, ParallelCopy, Variable
 from repro.liveness.numbering import VariableNumbering
 
 #: Per-block instruction segment: (use masks, per-row def counts, def ids,
-#: def source ids, defs mask, upward-exposed mask, φ-defs mask).  The unit
-#: `apply_edits` re-lowers or splices.
+#: def source ids, defs mask, upward-exposed mask, φ-defs mask).
 _Segment = Tuple[List[int], List[int], List[int], List[int], int, int, int]
 
 
@@ -96,7 +90,7 @@ class FlatFunction:
         #: the bit-set liveness constructor does, so ids agree with its rows.
         self.function = function
         self.numbering = numbering
-        self._build({})
+        self._build()
         self.lowering_seconds = time.perf_counter() - began
 
     @classmethod
@@ -243,9 +237,8 @@ class FlatFunction:
             phi_defs,
         )
 
-    def _build(self, segments: Dict[str, _Segment]) -> None:
-        """(Re)build every table; ``segments`` supplies pre-lowered per-block
-        instruction rows for blocks whose contents did not change."""
+    def _build(self) -> None:
+        """Build every table from the function."""
         function = self.function
         blocks = function.blocks
         ensure = self.numbering.ensure
@@ -303,10 +296,9 @@ class FlatFunction:
         numbering = self.numbering
         running = 0
         for label in order:
-            segment = segments.get(label)
-            if segment is None:
-                segment = lower_block(blocks[label], numbering)
-            uses, counts, dids, dsrc, defs, upward, phi_defs = segment
+            uses, counts, dids, dsrc, defs, upward, phi_defs = lower_block(
+                blocks[label], numbering
+            )
             use_masks.extend(uses)
             for count in counts:
                 running += count
@@ -352,52 +344,6 @@ class FlatFunction:
 
         self.generation = function.generation
         self.nbytes = self._measure()
-
-    # -- EditLog patching -----------------------------------------------------
-    def _segment(self, label: str) -> _Segment:
-        """Extract a block's instruction rows back out of the global tables."""
-        block_id = self.ids[label]
-        row0 = self.instr_off[block_id]
-        row1 = self.instr_off[block_id + 1]
-        use_masks = self.use_masks[row0:row1]
-        def_off = self.def_off
-        def_counts = [def_off[row + 1] - def_off[row] for row in range(row0, row1)]
-        span0 = def_off[row0]
-        span1 = def_off[row1]
-        return (
-            use_masks,
-            def_counts,
-            list(self.def_ids[span0:span1]),
-            list(self.def_src[span0:span1]),
-            self.defs_mask[block_id],
-            self.upward_mask[block_id],
-            self.phi_defs_mask[block_id],
-        )
-
-    def apply_edits(self, log: EditLog) -> None:
-        """Patch the arena from one pass-emitted edit log.
-
-        The expensive part of a lowering is the per-block instruction rows;
-        only the rows of blocks the log touched (or created) are re-lowered —
-        every other block's segment is spliced over unchanged.  The CFG
-        tables (order, edges, φ-edge masks) are small and order-sensitive,
-        so they are rebuilt outright; the result is table-for-table equal to
-        a fresh lowering of the edited function.
-        """
-        began = time.perf_counter()
-        ensure = self.numbering.ensure
-        for var in log.affected_variables():
-            ensure(var)
-        blocks = self.function.blocks
-        touched = {label for label in log.touched_blocks() if label in blocks}
-        touched.update(label for label in log.new_blocks if label in blocks)
-        kept: Dict[str, _Segment] = {}
-        for label in self.labels:
-            if label in touched or label not in blocks:
-                continue
-            kept[label] = self._segment(label)
-        self._build(kept)
-        self.lowering_seconds += time.perf_counter() - began
 
     # -- round-trip helpers (property tests, diagnostics) ---------------------
     def successors_of(self, label: str) -> List[str]:

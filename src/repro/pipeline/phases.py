@@ -62,19 +62,13 @@ def candidate_universe(
 
 
 def _patch_warm_analyses(ctx, checker: LivenessChecker, log: EditLog) -> None:
-    """Feed one edit log to the cached analyses that consume it: the flat
-    arena (when cached) and the liveness checker's per-variable caches.
+    """Feed one edit log to the liveness checker's per-variable caches.
 
-    Both are vouched for via ``ctx.patched_analyses`` so the
+    The checker is vouched for via ``ctx.patched_analyses`` so the
     :class:`~repro.pipeline.pipeline.PassManager` re-stamps instead of
-    dropping them; every other analysis is rebuilt cold when next requested.
+    dropping it; every other analysis, the flat arena included, is rebuilt
+    cold when next requested.
     """
-    flat: Optional[FlatFunction] = ctx.analyses.cached(FlatFunction)
-    if flat is not None:
-        # Pure representation: patching keeps it serveable for a later
-        # rebuild instead of being dropped and re-lowered from scratch.
-        flat.apply_edits(log)
-        ctx.patched_analyses.append(FlatFunction)
     checker.apply_edits(log)
     ctx.patched_analyses.append(LivenessChecker)
 

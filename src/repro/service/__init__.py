@@ -13,9 +13,9 @@ hot functions:
 * :mod:`repro.service.translator` — :class:`TranslationService`, one worker:
   a warm :class:`~repro.pipeline.session.Session` per engine fingerprint in
   front of one cache;
-* :mod:`repro.service.scheduler` — :class:`ShardedScheduler`, the sharded
-  work queue partitioning request batches across N digest-affine shards
-  (threads for warm traffic, processes for cold batches);
+* :mod:`repro.service.scheduler` — :class:`ShardedScheduler`, routing each
+  request to one of N digest-affine shards; the daemon streams each batch
+  partition on its worker threads;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a stdlib-only
   asyncio socket daemon (``repro serve``) speaking an id-tagged, pipelined
   newline-delimited-JSON protocol with streamed batches, admission control

@@ -1,31 +1,25 @@
 """Sharded concurrent scheduling of translation requests.
 
-:class:`ShardedScheduler` partitions a request batch over N shards by
+:class:`ShardedScheduler` routes every request to one of N shards by
 *digest affinity* (``shard_of``): the same program always lands on the same
 shard, so each shard's content-addressed cache stays coherent without any
-cross-shard locking.  Warm traffic (hits) is served from the parent's shard
-caches directly; cold remainders run either on a thread per shard
-(``mode="thread"`` — hits dominate warm traffic, the GIL is irrelevant to
-dict lookups) or a process per shard (``mode="process"`` — cold translation
-is CPU-bound Python, so cold-heavy batches fan out to real cores; results are
-adopted back into the parent caches and are warm from then on).
+cross-shard locking.  Work always runs in the calling thread; the daemon
+gets its concurrency by running one :meth:`ShardedScheduler.stream_shard`
+per non-empty :meth:`ShardedScheduler.partition` on its own worker pool.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.ir.digest import text_digest
 from repro.ir.parser import ParseError
-from repro.outofssa.config import DEFAULT_ENGINE, EngineConfig
+from repro.outofssa.config import DEFAULT_ENGINE
 from repro.pipeline.pipeline import EngineLike, resolve_engine
 from repro.service.translator import ServiceResult, TranslationService
-
-SCHEDULER_MODES = ("serial", "thread", "process")
 
 
 def shard_of(digest: str, shards: int) -> int:
@@ -33,17 +27,6 @@ def shard_of(digest: str, shards: int) -> int:
     if shards <= 1:
         return 0
     return int(digest[:8], 16) % shards
-
-
-# --------------------------------------------------------------------------- process worker
-def _translate_partition(config: EngineConfig, texts: List[str]) -> List[Dict[str, object]]:
-    """Translate one shard's cold remainder in a worker process.
-
-    Top-level so it pickles; builds a throwaway service (no warm state — the
-    parent adopts the results into its own caches) and returns payload dicts.
-    """
-    service = TranslationService(config, capacity=0, keep_warm_state=False)
-    return [service.translate_text(text).to_payload() for text in texts]
 
 
 # --------------------------------------------------------------------------- shards
@@ -75,16 +58,11 @@ class ShardedScheduler:
         engine: EngineLike = DEFAULT_ENGINE,
         *,
         shards: int = 4,
-        mode: str = "thread",
         capacity: int = 256,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if mode not in SCHEDULER_MODES:
-            known = ", ".join(SCHEDULER_MODES)
-            raise ValueError(f"unknown scheduler mode {mode!r}; known modes: {known}")
         self.engine = resolve_engine(engine)
-        self.mode = mode
         self.services: List[TranslationService] = [
             TranslationService(self.engine, capacity=capacity) for _ in range(shards)
         ]
@@ -203,100 +181,11 @@ class ShardedScheduler:
     def translate_batch(
         self, texts: Sequence[str], engine: Optional[EngineLike] = None
     ) -> List[ServiceResult]:
-        """Serve a batch, partitioned across shards; results in input order."""
-        config = self.engine if engine is None else resolve_engine(engine)
-        results: List[Optional[ServiceResult]] = [None] * len(texts)
-        partitions = self.partition(texts)
+        """Serve a batch in input order, each item on its affine shard.
 
-        if self.mode == "process":
-            self._run_batch_process(texts, partitions, config, results)
-        elif self.mode == "thread" and self.shards > 1:
-            self._run_batch_threads(texts, partitions, config, results)
-        else:
-            for shard, indices in partitions.items():
-                self._run_shard(texts, indices, shard, config, results)
-        missing = [index for index, result in enumerate(results) if result is None]
-        if missing:
-            # Callers index-align responses with requests; compacting the
-            # list would silently misattribute every later response.
-            raise RuntimeError(f"batch left requests {missing} unanswered")
-        return list(results)
-
-    def _run_shard(self, texts, indices, shard, config, results) -> None:
-        began = time.perf_counter()
-        for index in indices:
-            result = self.services[shard].translate_text(texts[index], engine=config)
-            result.shard = shard
-            results[index] = result
-            self._account(shard, result, 0.0)
-        self._account_seconds(shard, time.perf_counter() - began)
-
-    def _run_batch_threads(self, texts, partitions, config, results) -> None:
-        with ThreadPoolExecutor(max_workers=self.shards) as pool:
-            futures = [
-                pool.submit(self._run_shard, texts, indices, shard, config, results)
-                for shard, indices in partitions.items()
-                if indices
-            ]
-            for future in futures:
-                future.result()
-
-    def _run_batch_process(self, texts, partitions, config, results) -> None:
-        """Hits from the parent caches, cold remainders on worker processes."""
-        cold: Dict[int, List[int]] = {}
-        for shard, indices in partitions.items():
-            began = time.perf_counter()
-            for index in indices:
-                digest, fingerprint, entry = self.services[shard].probe(
-                    texts[index], engine=config
-                )
-                if entry is not None:
-                    result = ServiceResult(
-                        digest=digest,
-                        fingerprint=fingerprint,
-                        engine=entry.engine_name,
-                        ir_text=entry.ir_text,
-                        kind="hit",
-                        seconds=0.0,
-                        translate_seconds=entry.seconds,
-                        stats=dict(entry.stats),
-                        shard=shard,
-                    )
-                    results[index] = result
-                    self._account(shard, result, 0.0)
-                else:
-                    cold.setdefault(shard, []).append(index)
-            self._account_seconds(shard, time.perf_counter() - began)
-        if not cold:
-            return
-        # One worker translation per *unique* cold text: the repeat-heavy
-        # streams this service targets would otherwise cold-translate the
-        # same program once per occurrence inside the worker.
-        unique: Dict[int, List[List[int]]] = {}
-        for shard, indices in cold.items():
-            groups: Dict[str, List[int]] = {}
-            for index in indices:
-                groups.setdefault(texts[index], []).append(index)
-            unique[shard] = list(groups.values())
-        with ProcessPoolExecutor(max_workers=len(cold)) as pool:
-            futures = {
-                shard: pool.submit(
-                    _translate_partition,
-                    config,
-                    [texts[group[0]] for group in groups],
-                )
-                for shard, groups in unique.items()
-            }
-            for shard, future in futures.items():
-                began = time.perf_counter()
-                payloads = future.result()
-                for group, payload in zip(unique[shard], payloads):
-                    adopted = self.services[shard].adopt(payload)
-                    for index in group:
-                        result = replace(adopted, shard=shard, stats=dict(adopted.stats))
-                        results[index] = result
-                        self._account(shard, result, 0.0)
-                self._account_seconds(shard, time.perf_counter() - began)
+        A bad item raises; use :meth:`stream_shard` for per-item errors.
+        """
+        return [self.translate(text, engine) for text in texts]
 
     # -- accounting --------------------------------------------------------------
     def _account(self, shard: int, result: ServiceResult, seconds: float) -> None:
@@ -329,11 +218,10 @@ class ShardedScheduler:
         return {
             "engine": self.engine.name,
             "fingerprint": self.engine.fingerprint(),
-            "mode": self.mode,
             "shards": shard_rows,
             "services": [service.stats_payload() for service in self.services],
             **totals,
         }
 
     def __repr__(self) -> str:
-        return f"ShardedScheduler({self.engine.name!r}, {self.shards} shards, {self.mode})"
+        return f"ShardedScheduler({self.engine.name!r}, {self.shards} shards)"

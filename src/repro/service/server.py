@@ -59,7 +59,12 @@ its outstanding requests cancelled without touching warm state.
 Execution model
 ---------------
 One event loop owns all connections (no thread per connection); the
-CPU-bound translation work runs on a fixed pool of ``workers`` threads.
+CPU-bound translation work runs on a fixed pool of ``workers`` threads.  A
+single ``translate``/``verify`` runs on its digest-affine shard in one worker
+(or inline on a warm hit); a ``translate_batch`` is split by
+:meth:`ShardedScheduler.partition` and each non-empty partition streams
+through :meth:`ShardedScheduler.stream_shard` in its own worker — the only
+way the daemon runs batch work.
 Every mutable daemon counter is owned by the event-loop thread; everything
 shared with worker threads lives behind the scheduler's stats lock or the
 metrics registry's lock.
@@ -140,7 +145,6 @@ class TranslationServer:
         *,
         engine: EngineLike = DEFAULT_ENGINE,
         shards: int = 2,
-        mode: str = "thread",
         capacity: int = 256,
         workers: Optional[int] = None,
         max_pending: int = 64,
@@ -153,7 +157,7 @@ class TranslationServer:
             raise ValueError(f"max_pending must be >= 0, got {max_pending}")
         if max_pipeline < 1:
             raise ValueError(f"max_pipeline must be >= 1, got {max_pipeline}")
-        self.scheduler = ShardedScheduler(engine, shards=shards, mode=mode, capacity=capacity)
+        self.scheduler = ShardedScheduler(engine, shards=shards, capacity=capacity)
         self.workers = workers if workers is not None else max(2, self.scheduler.shards)
         self.max_pending = max_pending
         self.max_pipeline = max_pipeline
@@ -609,7 +613,6 @@ class TranslationServer:
                 "engine": self.scheduler.engine.name,
                 "fingerprint": self.scheduler.engine.fingerprint(),
                 "shards": self.scheduler.shards,
-                "mode": self.scheduler.mode,
                 "workers": self.workers,
                 "max_pending": self.max_pending,
                 "max_pipeline": self.max_pipeline,

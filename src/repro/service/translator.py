@@ -94,20 +94,14 @@ class TranslationService:
         *,
         cache: Optional[TranslationCache] = None,
         capacity: int = 256,
-        keep_warm_state: bool = True,
-        validate_ingest: bool = True,
     ) -> None:
         self.default_config = resolve_engine(engine)
         self.cache = cache if cache is not None else TranslationCache(capacity)
-        #: Structurally validate parsed requests before translating (the
-        #: ingest boundary: malformed programs fail with a located error
-        #: instead of deep inside a pass).
-        self.validate_ingest = validate_ingest
         # Warm state is only retained when the cache can actually hold (and
         # eventually evict-and-release) it: with caching disabled the
         # eviction hook never runs, so a warm session would accumulate one
         # AnalysisCache per request forever in a long-lived daemon.
-        self.keep_warm_state = keep_warm_state and self.cache.capacity != 0
+        self._warm = self.cache.capacity != 0
         self._sessions: Dict[str, Session] = {}
         self._configs: Dict[str, EngineConfig] = {}
         self._lock = threading.RLock()
@@ -123,13 +117,7 @@ class TranslationService:
         fingerprint = config.fingerprint()
         session = self._sessions.get(fingerprint)
         if session is None:
-            session = Session(
-                config,
-                # Warm sessions retain per-function analysis caches; without
-                # warm-state retention that would be an unbounded leak, so
-                # those services run plain (cold) sessions.
-                warm=self.keep_warm_state,
-            )
+            session = Session(config, warm=self._warm)
             self._sessions[fingerprint] = session
             self._configs[fingerprint] = config
         return session
@@ -164,8 +152,9 @@ class TranslationService:
                     stats=dict(entry.stats),
                 )
             function = parse_function(source_text)
-            if self.validate_ingest:
-                validate_function(function)
+            # The ingest boundary: a malformed program fails with a located
+            # error instead of deep inside a pass.
+            validate_function(function)
             session = self._session(config)
             result = session.translate(function)
             ir_text = format_function(function)
@@ -179,7 +168,7 @@ class TranslationService:
                 stats=asdict(result.stats),
             )
             warm_state = None
-            if self.keep_warm_state:
+            if self._warm:
                 warm_state = WarmState(
                     function=function,
                     analyses=session.warm_cache(function),
@@ -257,7 +246,7 @@ class TranslationService:
                 stats=asdict(result.stats),
             )
             warm_state = None
-            if self.keep_warm_state:
+            if self._warm:
                 warm_state = WarmState(
                     function=state.function,
                     analyses=session.warm_cache(state.function),
@@ -380,52 +369,6 @@ class TranslationService:
             )
         finally:
             self._lock.release()
-
-    # -- scheduler hooks --------------------------------------------------------
-    def probe(
-        self, source_text: str, engine: Optional[EngineLike] = None
-    ) -> tuple:
-        """``(digest, fingerprint, cached entry or None)`` for one request.
-
-        Used by the process-mode scheduler to serve hits from the parent
-        before shipping the cold remainder to worker processes; counts the
-        hit/miss exactly like :meth:`translate_text` would.
-        """
-        config = self._resolve(engine)
-        digest = text_digest(source_text)
-        fingerprint = config.fingerprint()
-        with self._lock:
-            self.requests += 1
-            return digest, fingerprint, self.cache.lookup(digest, fingerprint)
-
-    def adopt(self, payload: Dict[str, object]) -> ServiceResult:
-        """Install a translation computed elsewhere (a worker process).
-
-        ``payload`` is a :meth:`ServiceResult.to_payload` dict from the
-        worker; the result is cached here (without warm state — analysis
-        objects do not cross process boundaries) so subsequent requests hit
-        warm in the parent.
-        """
-        entry = CachedTranslation(
-            digest=str(payload["digest"]),
-            fingerprint=str(payload["fingerprint"]),
-            engine_name=str(payload["engine"]),
-            ir_text=str(payload["ir"]),
-            seconds=float(payload["translate_seconds"]),
-            stats=dict(payload.get("stats") or {}),
-        )
-        with self._lock:
-            self.cache.store(entry)
-        return ServiceResult(
-            digest=entry.digest,
-            fingerprint=entry.fingerprint,
-            engine=entry.engine_name,
-            ir_text=entry.ir_text,
-            kind=str(payload.get("kind", "cold")),
-            seconds=float(payload["seconds"]),
-            translate_seconds=entry.seconds,
-            stats=dict(entry.stats),
-        )
 
     # -- maintenance ------------------------------------------------------------
     def flush(self) -> int:

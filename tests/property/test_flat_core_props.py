@@ -1,7 +1,7 @@
 """Property tests for the flat arena IR (:class:`~repro.ir.flat.FlatFunction`),
 the representation the bit-set liveness solve and the matrix edge scan run on.
 
-Three claims are checked over randomized inputs:
+Two claims are checked over randomized inputs:
 
 1. *Lowering round-trip* — every table of a :class:`FlatFunction` decodes
    back to exactly the object graph it was lowered from: CFG edges (order
@@ -9,11 +9,7 @@ Three claims are checked over randomized inputs:
    φ-edge masks (diffed against a decoder over the object graph and the same
    numbering) — on the stress corpus, the φ-carrying generator programs,
    and the paper's gallery figures.
-2. *EditLog patching* — after an arbitrary sequence of materialization-shaped
-   edit batches, :meth:`FlatFunction.apply_edits` leaves the arena
-   table-for-table equal to a fresh lowering of the edited function over the
-   same numbering (the edit-log seam contract).
-3. *Checked runs stay clean* — a ``verify_level="full"`` translation over the
+2. *Checked runs stay clean* — a ``verify_level="full"`` translation over the
    arena-backed analyses raises no diagnostics.
 """
 
@@ -22,7 +18,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.corpus import CorpusSpec, generate_stress_cfg, random_edit_batch
+from repro.bench.corpus import CorpusSpec, generate_stress_cfg
 from repro.bench.generator import GeneratorConfig, generate_ssa_program
 from repro.gallery import (
     figure1_branch_use,
@@ -41,18 +37,6 @@ GALLERY = (
     figure3_swap_problem,
     figure4_lost_copy_problem,
 )
-
-#: The arena's data tables (everything except the back-reference, the
-#: numbering, and the lowering timing).
-_TABLES = (
-    "labels", "ids", "entry", "decl", "params",
-    "succ_off", "succ_ids", "pred_off", "pred_ids",
-    "edge_phi", "phi_edge",
-    "defs_mask", "upward_mask", "phi_defs_mask",
-    "instr_off", "use_masks", "def_off", "def_ids", "def_src",
-    "generation", "nbytes",
-)
-
 
 def assert_roundtrip(function):
     flat = FlatFunction(function)
@@ -162,27 +146,6 @@ def test_lowering_roundtrip_on_generator_programs(seed, size):
 def test_lowering_roundtrip_on_gallery():
     for make in GALLERY:
         assert_roundtrip(make())
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    blocks=st.integers(min_value=8, max_value=120),
-    depth=st.integers(min_value=1, max_value=6),
-    batches=st.integers(min_value=1, max_value=4),
-)
-def test_apply_edits_equals_fresh_lowering(seed, blocks, depth, batches):
-    """The EditLog seam: a patched arena is table-for-table a fresh lowering."""
-    function = generate_stress_cfg(
-        CorpusSpec(seed=seed, blocks=blocks, loop_depth=depth, variables=6)
-    )
-    flat = FlatFunction(function)
-    for batch in range(batches):
-        log = random_edit_batch(function, seed=seed ^ (batch + 1))
-        flat.apply_edits(log)
-        fresh = FlatFunction(function, flat.numbering)
-        for name in _TABLES:
-            assert getattr(flat, name) == getattr(fresh, name), name
 
 
 @settings(max_examples=8, deadline=None)

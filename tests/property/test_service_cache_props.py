@@ -16,10 +16,12 @@ a cold one.  Four claims:
    value + print trace), under every engine.
 4. *Warm retranslation ≡ cold* — after every batch of a random sequence of
    materialization-shaped edits to a hot stress-corpus function,
-   ``TranslationService.retranslate`` returns exactly the IR text and stats
-   counters a fresh :class:`~repro.pipeline.Session` produces for an
-   in-memory copy of the edited function (Hypothesis-driven, all seven
-   engines × both interference backends).
+   ``TranslationService.retranslate`` returns exactly the IR text and every
+   stats counter (``flat_bytes`` included) a fresh
+   :class:`~repro.pipeline.Session` produces for an in-memory copy of the
+   edited function, and the service's first cold translation matches a
+   plain session's the same way (Hypothesis-driven, all seven engines × both
+   interference backends).
 """
 
 import itertools
@@ -127,12 +129,8 @@ def test_cached_outputs_behave_like_fresh_outputs(config):
 _TIMING_FIELDS = ("elapsed_seconds", "lowering_ms", "verify_ms")
 
 
-def _counters(stats, skip=()) -> dict:
-    return {
-        name: value
-        for name, value in stats.items()
-        if name not in _TIMING_FIELDS and name not in skip
-    }
+def _counters(stats) -> dict:
+    return {name: value for name, value in stats.items() if name not in _TIMING_FIELDS}
 
 
 @pytest.mark.parametrize("backend", sorted(INTERFERENCE_BACKENDS))
@@ -151,10 +149,6 @@ def test_retranslate_is_bit_identical_to_cold(
     """15 examples for each of the 14 engine × interference-backend cases
     (210 in all)."""
     engine = EngineConfig.builder(engine).interference(backend).build()
-    # A warm LiveCheck run keeps the arena its matrix scan reads patched over
-    # the warm numbering, so the bytes that arena holds are not a cold
-    # lowering's; every counter of the translation itself must still match.
-    skip = ("flat_bytes",) if engine.liveness == "check" and backend == "matrix" else ()
     service = TranslationService(engine)
     function = generate_stress_cfg(
         CorpusSpec(
@@ -163,6 +157,13 @@ def test_retranslate_is_bit_identical_to_cold(
         )
     )
     result = service.translate_function(function)
+    first = parse_function(format_function(function))
+    first_cold = Session(engine).translate(first)
+    assert result.kind == "cold"
+    assert result.ir_text == format_function(first)
+    assert _counters(result.stats) == _counters(asdict(first_cold.stats)), (
+        f"{engine.name}: the service's cold stats diverged from a plain session"
+    )
     for step, batch_seed in enumerate(batch_seeds):
         state = service.cache.warm_state(result.digest, result.fingerprint)
         log = random_edit_batch(state.function, seed=batch_seed)
@@ -173,6 +174,6 @@ def test_retranslate_is_bit_identical_to_cold(
         assert result.ir_text == format_function(cold_copy), (
             f"{engine.name}: warm retranslation diverged from cold at step {step}"
         )
-        assert _counters(result.stats, skip) == _counters(asdict(cold.stats), skip), (
+        assert _counters(result.stats) == _counters(asdict(cold.stats)), (
             f"{engine.name}: warm stats diverged from cold at step {step}"
         )

@@ -197,7 +197,7 @@ class TestServiceCommands:
             "--shards", "2", "--scale", "1.0", "--output", str(path),
         ]) == 0
         out = capsys.readouterr().out
-        assert "cold" in out and "warm" in out and "sharded[2;thread]" in out
+        assert "cold" in out and "warm" in out and "sharded[2]" in out
         assert "hit rate" in path.read_text()
 
     def test_bench_serve_rejects_unknown_engine(self):
@@ -240,6 +240,16 @@ class TestServiceCommands:
             main(["serve", "--parallel-coalescing", "2"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --parallel-coalescing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--mode", "thread"],
+        ["bench-serve", "--mode", "serial"],
+    ])
+    def test_removed_mode_option_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
     def test_request_translate_needs_a_file(self):
         with pytest.raises(SystemExit, match="needs at least one IR file"):

@@ -9,6 +9,7 @@ from repro.bench.generator import GeneratorConfig, generate_ssa_program
 from repro.cfg.dominance import DominatorTree
 from repro.interference.graph import MatrixInterference
 from repro.ir import format_function, parse_function, text_digest
+from repro.ir.parser import ParseError
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.intersection import IntersectionOracle
 from repro.liveness.livecheck import LivenessChecker
@@ -252,12 +253,6 @@ class TestTranslationService:
             assert len(session._warm_caches) == 0
         assert service.cache.stats().warm_states == 0
 
-    def test_keep_warm_state_false_retains_nothing(self):
-        service = TranslationService("us_i", keep_warm_state=False)
-        service.translate_text(program_text(1))
-        for session in service.sessions().values():
-            assert len(session._warm_caches) == 0
-
     def test_hit_stats_are_caller_owned_copies(self):
         service = TranslationService("us_i")
         text = program_text(4)
@@ -307,57 +302,47 @@ class TestShardedScheduler:
         assert shard_of(digest, 4) == shard_of(digest, 4)
         assert shard_of(digest, 1) == 0
 
-    def test_modes_agree_and_warm_up(self):
+    def test_batch_keeps_input_order_and_each_repeat_hits(self):
         texts = [program_text(seed, size=18) for seed in range(4)] * 2
-        outputs = {}
-        for mode in ("serial", "thread"):
-            scheduler = ShardedScheduler("us_i", shards=2, mode=mode)
-            results = scheduler.translate_batch(texts)
-            outputs[mode] = [result.ir_text for result in results]
-            payload = scheduler.stats_payload()
-            assert payload["requests"] == len(texts)
-            assert payload["hits"] == 4  # each program repeats exactly once
-        assert outputs["serial"] == outputs["thread"]
-
-    def test_process_mode_translates_cold_and_adopts_warm(self):
-        texts = [program_text(seed, size=18) for seed in range(3)]
-        scheduler = ShardedScheduler("us_i", shards=2, mode="process")
-        first = scheduler.translate_batch(texts)
-        assert all(not result.cached for result in first)
-        second = scheduler.translate_batch(texts)
-        assert all(result.cached for result in second)
-        assert [r.ir_text for r in first] == [r.ir_text for r in second]
-
-    def test_process_mode_dedups_duplicate_cold_texts(self):
-        """A repeat-heavy cold batch ships one worker translation per unique
-        program; every duplicate index is fanned the same answer (with its
-        own caller-owned stats dict)."""
-        texts = [program_text(seed, size=18) for seed in (1, 2)] * 3
-        scheduler = ShardedScheduler("us_i", shards=2, mode="process")
+        scheduler = ShardedScheduler("us_i", shards=2)
         results = scheduler.translate_batch(texts)
-        assert len(results) == 6
-        assert results[0].ir_text == results[2].ir_text == results[4].ir_text
-        assert results[1].ir_text == results[3].ir_text == results[5].ir_text
-        results[0].stats["corrupted"] = True
-        assert "corrupted" not in results[2].stats
-        # One cache entry per unique program, not per occurrence.
-        assert sum(len(s.cache) for s in scheduler.services) == 2
+        assert [result.ir_text for result in results] == [
+            TranslationService("us_i").translate_text(text).ir_text for text in texts
+        ]
+        assert [result.cached for result in results] == [False] * 4 + [True] * 4
+        assert [result.shard for result in results] == [
+            shard_of(text_digest(text), 2) for text in texts
+        ]
+        payload = scheduler.stats_payload()
+        assert payload["requests"] == len(texts)
+        assert payload["hits"] == 4  # each program repeats exactly once
+
+    def test_batch_raises_on_a_bad_item(self):
+        scheduler = ShardedScheduler("us_i", shards=2)
+        with pytest.raises(ParseError):
+            scheduler.translate_batch([program_text(1), "function broken("])
 
     def test_single_requests_route_by_digest(self):
-        scheduler = ShardedScheduler("us_i", shards=3, mode="thread")
+        scheduler = ShardedScheduler("us_i", shards=3)
         text = program_text(7)
         result = scheduler.translate(text)
         assert result.shard == shard_of(text_digest(text), 3)
         assert scheduler.translate(text).cached
 
     def test_rejects_bad_configuration(self):
-        with pytest.raises(ValueError, match="unknown scheduler mode"):
-            ShardedScheduler("us_i", mode="bogus")
         with pytest.raises(ValueError, match="shards"):
             ShardedScheduler("us_i", shards=0)
 
+    def test_mode_option_is_gone(self):
+        """Batches run in the calling thread only; the scheduler and the
+        daemon no longer take a batch execution mode."""
+        with pytest.raises(TypeError):
+            ShardedScheduler("us_i", mode="thread")
+        with pytest.raises(TypeError):
+            TranslationServer(mode="thread")
+
     def test_flush_counts_across_shards(self):
-        scheduler = ShardedScheduler("us_i", shards=2, mode="serial")
+        scheduler = ShardedScheduler("us_i", shards=2)
         scheduler.translate_batch([program_text(seed, size=18) for seed in range(3)])
         assert scheduler.flush() == 3
 
@@ -378,6 +363,7 @@ class TestServerAndClient:
             payload = client.ping()
             assert payload["service"].startswith("repro-serve/")
             assert payload["engine"] == "us_i" and payload["shards"] == 2
+            assert "mode" not in payload
 
     def test_translate_roundtrip_and_cache(self, server):
         text = program_text(9)
