@@ -12,7 +12,7 @@ ancestor of another one can be achieved in O(1)").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cfg.traversal import reverse_postorder
 from repro.ir.function import Function
@@ -112,6 +112,12 @@ class DominatorTree:
     def preorder_index(self, label: str) -> int:
         """Pre-DFS index of ``label`` in the dominator tree (paper's ≺ order)."""
         return self._pre.get(label, 1 << 30)
+
+    def interval(self, label: str) -> Optional[Tuple[int, int]]:
+        """``(pre, post)`` numbers of ``label`` (``None`` if unreachable):
+        ``a`` dominates ``b`` iff ``pre[a] <= pre[b] and post[b] <= post[a]``."""
+        pre = self._pre.get(label)
+        return None if pre is None else (pre, self._post[label])
 
     def dominator_tree_preorder(self) -> List[str]:
         """Block labels sorted by dominator-tree pre-order."""

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cfg.frequency import estimate_block_frequencies
 from repro.ir.function import Function
-from repro.ir.instructions import Constant, Copy, ParallelCopy, Phi, Variable
+from repro.ir.instructions import Copy, ParallelCopy, Phi, Variable
 from repro.interference.congruence import CongruenceClasses
 from repro.outofssa.method_i import PhiCopyInsertion
 
@@ -170,10 +170,7 @@ class AggressiveCoalescer:
         stats = CoalescingStats()
         for affinity in self._ordered(list(affinities)):
             stats.attempted += 1
-            if self.classes.same_class(affinity.dst, affinity.src):
-                affinity.coalesced = True
-                stats.coalesced += 1
-                continue
+            # ``try_coalesce`` also answers True when the two already share a class.
             merged = self.classes.try_coalesce(
                 affinity.dst, affinity.src, skip_copy_pair=self.skip_copy_pair
             )

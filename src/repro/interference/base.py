@@ -11,7 +11,7 @@ oracle stack.  This module gives interference the same treatment:
     The protocol every backend implements: the pairwise test (``interferes``
     / ``same_value`` / ``intersects`` under one of the three
     :class:`InterferenceKind` notions), the congruence-facing helpers
-    (``intersect``, ``dominates``, ``dominance_order_key``) and the class-row
+    (``intersect``, ``dominance_order_key``) and the class-row
     support surface the congruence layer uses to merge interference rows on
     coalesces.
 
@@ -29,7 +29,7 @@ The ``matrix`` backend (eager half bit-matrix) lives in
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import List, Optional
 
 
 class InterferenceKind(enum.Enum):
@@ -136,9 +136,6 @@ class InterferenceOracle:
     def intersect(self, a, b) -> bool:
         return self.oracle.intersect(a, b)
 
-    def dominates(self, a, b) -> bool:
-        return self.oracle.dominates(a, b)
-
     def dominance_order_key(self, var):
         return self.oracle.dominance_order_key(var)
 
@@ -150,6 +147,10 @@ class InterferenceOracle:
     def adjacency_bits(self, var) -> int:
         """Symmetric adjacency row of ``var`` as a bit mask over matrix slots."""
         return 0
+
+    def adjacency_rows(self) -> List[int]:
+        """Matrix slot -> symmetric adjacency row (empty without a matrix)."""
+        return []
 
     # -- accounting ----------------------------------------------------------------
     def matrix_bytes(self) -> int:

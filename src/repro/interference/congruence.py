@@ -19,44 +19,59 @@ generalising the dominance-forest idea of Budimlić et al.:
   number of intersection queries linear (functions ``interference``,
   ``chain_intersect`` and ``update_equal_anc_out`` of the paper).
 
-Both the linear check and a brute-force quadratic reference are provided; the
-test-suite verifies they agree on random programs.
+All of that needs only int keys and id→id chains, so the classes run on a
+per-function *id table*: every variable gets a dense int id the first time the
+classes see it, and what the checks read per variable — its ≺ key, its
+definition row ``(block, index, dom-pre, dom-post)``, its SSA value, its
+matrix slot, its class and its ``equal_anc_in`` — is read once and stored
+under that id.  Both the linear check and a quadratic reference are provided;
+the test-suite verifies they agree on random programs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.instructions import Variable
 from repro.interference.base import InterferenceKind, InterferenceOracle
 from repro.liveness.intersection import IntersectionOracle
 
+#: ``equal_anc_out`` of one class check: member id -> equal intersecting
+#: ancestor id in the other class (absent = none).
+AncestorMap = Dict[int, int]
+
 
 class CongruenceClass:
-    """One set of coalesced variables, kept sorted in dominance pre-order ≺."""
+    """One set of coalesced variables: member ids sorted in dominance pre-order ≺."""
 
-    __slots__ = ("members", "register", "equal_anc_in", "slot_mask", "adj_mask")
+    __slots__ = ("ids", "register", "slot_mask", "adj_mask", "_variables")
 
-    def __init__(self, members: Iterable[Variable] = (), register: Optional[str] = None) -> None:
-        self.members: List[Variable] = list(members)
+    def __init__(
+        self, ids: List[int], variables: List[Variable], register: Optional[str] = None
+    ) -> None:
+        #: Member ids in ≺ order (indices into the owning table).
+        self.ids = ids
         #: Architectural register this class is pinned to (renaming constraints).
-        self.register: Optional[str] = register
-        #: Per-member "equal intersecting ancestor" within this class.
-        self.equal_anc_in: Dict[Variable, Optional[Variable]] = {
-            member: None for member in self.members
-        }
+        self.register = register
         #: Matrix-backed class rows (``None`` = not computed yet, ``-1`` = a
         #: member is outside the matrix universe): the members' slot bits and
         #: their merged symmetric adjacency — coalesces OR these instead of
         #: re-deriving anything, and a class-vs-class check is one AND.
         self.slot_mask: Optional[int] = None
         self.adj_mask: Optional[int] = None
+        self._variables = variables
+
+    @property
+    def members(self) -> List[Variable]:
+        """The member variables in ≺ order (a read-only view of :attr:`ids`)."""
+        variables = self._variables
+        return [variables[ident] for ident in self.ids]
 
     def __iter__(self):
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.ids)
 
     def __contains__(self, var: Variable) -> bool:
         return var in self.members
@@ -64,10 +79,6 @@ class CongruenceClass:
     def __repr__(self) -> str:
         label = f", register={self.register}" if self.register else ""
         return f"CongruenceClass({[str(v) for v in self.members]}{label})"
-
-
-class InterferenceBetweenClasses(Exception):
-    """Internal marker used by the quadratic reference checker."""
 
 
 class CongruenceClasses:
@@ -82,12 +93,19 @@ class CongruenceClasses:
       (an :class:`~repro.liveness.intersection.IntersectionOracle` plus a
       pairwise test), kept for the existing call sites.
 
-    When the backend is matrix-backed (``supports_class_rows``) and the
-    quadratic check would otherwise run, class-vs-class interference is
-    answered from per-class adjacency rows instead: each class carries the OR
-    of its members' matrix rows, coalesces merge the rows (one OR), and a
-    check is a single AND against the other class's slot bits —
-    ``class_row_checks`` counts how many pairwise sweeps that replaced.
+    Classes live on an id table local to this object (``variables`` maps an
+    id back to its variable, ``class_by_id`` to its class); ids are handed out
+    by :meth:`ensure` and :meth:`make_class`, never by :meth:`find`.  Merges
+    are union by size: the larger class keeps its object and only the smaller
+    side's ids are re-pointed.
+
+    On a matrix-backed test (``supports_class_rows``) the quadratic check
+    answers each left member with one AND of its symmetric adjacency row
+    against the other class's slot bits, advancing ``pair_queries`` and the
+    backend's ``matrix_hits`` by exactly what the pairwise sweep would have
+    issued up to its first hit.  When no linear sweep is configured and no
+    pair is exempted, the whole check is one AND of the classes' merged rows
+    instead — ``class_row_checks`` counts how many sweeps that replaced.
     """
 
     def __init__(
@@ -108,12 +126,35 @@ class CongruenceClasses:
             self.oracle = oracle
             self.test = test
         self.use_linear_check = use_linear_check
+        kind = self.test.kind
+        self._value_based = kind is InterferenceKind.VALUE
+        matrix = self.test.supports_class_rows
         #: Whether class-vs-class checks may be answered from merged matrix
         #: rows (matrix-backed test, no linear sweep configured).
-        self._class_rows = (
-            not use_linear_check and getattr(self.test, "supports_class_rows", False)
+        self._class_rows = not use_linear_check and matrix
+        #: Slot -> symmetric adjacency row of a matrix-backed test.
+        self._adjacency: Optional[List[int]] = self.test.adjacency_rows() if matrix else None
+        #: Whether the pairwise sweep may test ids on their definition rows
+        #: (query backend under the intersection or value notion); otherwise
+        #: it asks the test about the variables.
+        self._row_pairs = not matrix and kind in (
+            InterferenceKind.INTERSECT, InterferenceKind.VALUE
         )
-        self._class_of: Dict[Variable, CongruenceClass] = {}
+        self._values = self.test.values
+        self._value_ids: Dict[object, int] = {}
+
+        # -- the id table ----------------------------------------------------------
+        self._id_of: Dict[Variable, int] = {}
+        #: id -> variable.
+        self.variables: List[Variable] = []
+        #: id -> class.
+        self.class_by_id: List[CongruenceClass] = []
+        self._keys: List[tuple] = []                  #: id -> ≺ key
+        self._rows: List[tuple] = []                  #: id -> definition row
+        self._value_of: List[int] = []                #: id -> SSA value number
+        self._slots: List[int] = []                   #: id -> matrix slot (-1: none)
+        self._equal_anc_in: List[Optional[int]] = []  #: id -> ancestor id in class
+
         #: Number of variable-to-variable interference queries issued by the
         #: class-vs-class checks (reported by the Figure 6 harness).
         self.pair_queries = 0
@@ -121,44 +162,88 @@ class CongruenceClasses:
         #: pairwise queries at all).
         self.class_row_checks = 0
 
+    # -- the id table --------------------------------------------------------------------
+    def _intern(self, var: Variable) -> int:
+        """The id of ``var``, allocating one (with no class yet) if needed."""
+        ident = self._id_of.get(var)
+        if ident is not None:
+            return ident
+        ident = len(self.variables)
+        self._id_of[var] = ident
+        self.variables.append(var)
+        self.class_by_id.append(None)  # type: ignore[arg-type]
+        oracle = self.oracle
+        self._keys.append(oracle.dominance_order_key(var))
+        self._rows.append(oracle.definition_row(var))
+        if self._values is not None:
+            value_ids = self._value_ids
+            self._value_of.append(
+                value_ids.setdefault(self._values.value(var), len(value_ids))
+            )
+        else:
+            self._value_of.append(-1 - ident)  # no value table: no two share one
+        slot = self.test.slot(var) if self._adjacency is not None else None
+        self._slots.append(-1 if slot is None else slot)
+        self._equal_anc_in.append(None)
+        return ident
+
     # -- class management --------------------------------------------------------------
     def ensure(self, var: Variable) -> CongruenceClass:
         """Return the class of ``var``, creating a singleton if needed."""
-        cls = self._class_of.get(var)
+        ident = self._id_of.get(var)
+        if ident is None:
+            ident = self._intern(var)
+        cls = self.class_by_id[ident]
         if cls is None:
-            cls = CongruenceClass([var])
-            self._class_of[var] = cls
+            cls = CongruenceClass([ident], self.variables)
+            self.class_by_id[ident] = cls
         return cls
 
     def class_of(self, var: Variable) -> CongruenceClass:
         return self.ensure(var)
 
+    def find(self, var: Variable) -> Optional[CongruenceClass]:
+        """The class of ``var``, or ``None`` if the classes never saw it."""
+        ident = self._id_of.get(var)
+        return None if ident is None else self.class_by_id[ident]
+
     def same_class(self, a: Variable, b: Variable) -> bool:
         return self.ensure(a) is self.ensure(b)
 
     def classes(self) -> List[CongruenceClass]:
-        seen: List[CongruenceClass] = []
-        for cls in self._class_of.values():
-            if all(cls is not other for other in seen):
-                seen.append(cls)
-        return seen
+        return list(dict.fromkeys(self.class_by_id))
 
     def representative(self, var: Variable) -> Variable:
         """A canonical member of ``var``'s class (the ≺-smallest one)."""
         cls = self.ensure(var)
-        return cls.members[0] if cls.members else var
-
-    def _sort_key(self, var: Variable):
-        return self.oracle.dominance_order_key(var)
+        return self.variables[cls.ids[0]] if cls.ids else var
 
     def make_class(self, members: Iterable[Variable], register: Optional[str] = None) -> CongruenceClass:
         """Create one class containing ``members`` (assumed interference-free)."""
-        ordered = sorted(members, key=self._sort_key)
-        cls = CongruenceClass(ordered, register=register)
+        ids = [self._intern(var) for var in members]
+        ids.sort(key=self._keys.__getitem__)
+        cls = CongruenceClass(ids, self.variables, register=register)
         self._precompute_equal_anc_in(cls)
-        for member in ordered:
-            self._class_of[member] = cls
+        class_by_id = self.class_by_id
+        for ident in ids:
+            class_by_id[ident] = cls
         return cls
+
+    def _dominates(self, a: int, b: int) -> bool:
+        """Does the definition of id ``a`` dominate the definition of id ``b``?"""
+        _, index_a, pre_a, post_a = self._rows[a]
+        _, index_b, pre_b, post_b = self._rows[b]
+        if pre_a == pre_b:
+            return index_a <= index_b
+        return pre_a <= pre_b and post_b <= post_a
+
+    def _intersect(self, a: int, b: int) -> bool:
+        """Live-range intersection of two ids (counted by the oracle)."""
+        variables = self.variables
+        if a == b:
+            return self.oracle.intersect(variables[a], variables[b])
+        rows = self._rows
+        return self.oracle.intersect_rows(variables[a], rows[a], variables[b], rows[b])
 
     def _precompute_equal_anc_in(self, cls: CongruenceClass) -> None:
         """Compute equal intersecting ancestors inside a freshly built class.
@@ -167,21 +252,22 @@ class CongruenceClasses:
         built directly (φ-nodes, pinned groups) are usually intersection-free
         so the chains are empty, but we compute them exactly for safety.
         """
-        cls.equal_anc_in = {}
-        for i, member in enumerate(cls.members):
-            ancestor: Optional[Variable] = None
-            for candidate in reversed(cls.members[:i]):
-                if not self.oracle.dominates(candidate, member):
+        value_of = self._value_of
+        has_values = self._values is not None
+        ids = cls.ids
+        for i, member in enumerate(ids):
+            ancestor: Optional[int] = None
+            for candidate in reversed(ids[:i]):
+                if not self._dominates(candidate, member):
                     continue
-                if self.test.same_value(candidate, member) and self.oracle.intersect(candidate, member):
+                if (
+                    has_values
+                    and value_of[candidate] == value_of[member]
+                    and self._intersect(candidate, member)
+                ):
                     ancestor = candidate
                     break
-            cls.equal_anc_in[member] = ancestor
-
-    # -- pairwise helper -----------------------------------------------------------------
-    def _pair_interferes(self, a: Variable, b: Variable) -> bool:
-        self.pair_queries += 1
-        return self.test.interferes(a, b)
+            self._equal_anc_in[member] = ancestor
 
     # -- matrix-backed class rows ---------------------------------------------------------
     def _row_masks(self, cls: CongruenceClass) -> Optional[Tuple[int, int]]:
@@ -192,17 +278,17 @@ class CongruenceClasses:
             if cls.slot_mask < 0:
                 return None
             return cls.slot_mask, cls.adj_mask  # type: ignore[return-value]
-        slot_of = self.test.slot
-        adjacency = self.test.adjacency_bits
+        slot_of = self._slots
+        adjacency = self._adjacency
         slots = 0
         adj = 0
-        for member in cls.members:
-            slot = slot_of(member)
-            if slot is None:
+        for ident in cls.ids:
+            slot = slot_of[ident]
+            if slot < 0:
                 cls.slot_mask = -1
                 return None
             slots |= 1 << slot
-            adj |= adjacency(member)
+            adj |= adjacency[slot]  # type: ignore[index]
         cls.slot_mask = slots
         cls.adj_mask = adj
         return slots, adj
@@ -221,24 +307,111 @@ class CongruenceClasses:
         """
         if left.register and right.register and left.register != right.register:
             return True
-        skip = set()
+        skip: Set[Tuple[int, int]] = set()
         for a, b in skip_pairs:
-            skip.add((a, b))
-            skip.add((b, a))
-        for a in left.members:
-            for b in right.members:
-                if (a, b) in skip:
-                    continue
-                if self._pair_interferes(a, b):
-                    return True
-        return False
+            id_a = self._id_of.get(a)
+            id_b = self._id_of.get(b)
+            if id_a is not None and id_b is not None:
+                skip.add((id_a, id_b))
+                skip.add((id_b, id_a))
+        if self._adjacency is not None:
+            left_masks = self._row_masks(left)
+            right_masks = self._row_masks(right)
+            if left_masks is not None and right_masks is not None:
+                return self._quadratic_rows(left, right, right_masks[0], skip)
+        return self._quadratic_pairs(left, right, skip)
+
+    def _quadratic_rows(
+        self,
+        left: CongruenceClass,
+        right: CongruenceClass,
+        right_slots: int,
+        skip: Set[Tuple[int, int]],
+    ) -> bool:
+        """The pairwise sweep over matrix rows: one AND per left member.
+
+        Counts what the pairwise sweep would have issued — every non-skipped
+        pair up to and including the first interfering one — as pair queries
+        and matrix hits.
+        """
+        slots = self._slots
+        adjacency = self._adjacency
+        skipped_bits: Dict[int, int] = {}
+        for a, b in skip:
+            if self.class_by_id[b] is right:
+                skipped_bits[a] = skipped_bits.get(a, 0) | 1 << slots[b]
+        right_ids = right.ids
+        issued = 0
+        hit = False
+        for a in left.ids:
+            skipped = skipped_bits.get(a, 0) if skipped_bits else 0
+            row = adjacency[slots[a]] & right_slots & ~skipped  # type: ignore[index]
+            if row:
+                for b in right_ids:
+                    bit = 1 << slots[b]
+                    if bit & skipped:
+                        continue
+                    issued += 1
+                    if row & bit:
+                        break
+                hit = True
+                break
+            issued += len(right_ids) - skipped.bit_count()
+        self.pair_queries += issued
+        self.test.matrix_hits += issued
+        return hit
+
+    def _quadratic_pairs(
+        self, left: CongruenceClass, right: CongruenceClass, skip: Set[Tuple[int, int]]
+    ) -> bool:
+        """The pairwise sweep: every non-skipped pair, up to the first hit."""
+        variables = self.variables
+        issued = 0
+        hit = False
+        if self._row_pairs:
+            rows = self._rows
+            value_of = self._value_of
+            value_based = self._value_based
+            intersect_rows = self.oracle.intersect_rows
+            for a in left.ids:
+                var_a = variables[a]
+                row_a = rows[a]
+                value_a = value_of[a]
+                for b in right.ids:
+                    if skip and (a, b) in skip:
+                        continue
+                    issued += 1
+                    if (
+                        a != b
+                        and intersect_rows(var_a, row_a, variables[b], rows[b])
+                        and not (value_based and value_a == value_of[b])
+                    ):
+                        hit = True
+                        break
+                if hit:
+                    break
+        else:
+            interferes = self.test.interferes
+            for a in left.ids:
+                var_a = variables[a]
+                for b in right.ids:
+                    if skip and (a, b) in skip:
+                        continue
+                    issued += 1
+                    if interferes(var_a, variables[b]):
+                        hit = True
+                        break
+                if hit:
+                    break
+        self.pair_queries += issued
+        return hit
 
     # -- linear check (paper Algorithm 2 + value extension) -----------------------------------
     def interfere_linear(
         self,
         left: CongruenceClass,
         right: CongruenceClass,
-    ) -> Tuple[bool, Dict[Variable, Optional[Variable]]]:
+    ) -> Tuple[bool, AncestorMap]:
         """Linear-time interference check between two classes.
 
         Returns ``(interferes, equal_anc_out)``; the ``equal_anc_out`` map is
@@ -248,102 +421,93 @@ class CongruenceClasses:
         if left.register and right.register and left.register != right.register:
             return True, {}
 
-        oracle = self.oracle
-        in_left = set(left.members)
-        equal_anc_out: Dict[Variable, Optional[Variable]] = {}
-
-        def equal_anc_in(var: Variable) -> Optional[Variable]:
-            if var in in_left:
-                return left.equal_anc_in.get(var)
-            return right.equal_anc_in.get(var)
-
-        def intersect(a: Variable, b: Variable) -> bool:
-            self.pair_queries += 1
-            return oracle.intersect(a, b)
-
-        def chain_intersect(a: Variable, b: Optional[Variable]) -> bool:
-            """Does ``a`` intersect ``b`` or one of its equal intersecting ancestors?"""
-            tmp = b
-            while tmp is not None and not intersect(a, tmp):
-                tmp = equal_anc_in(tmp)
-            return tmp is not None
-
-        def update_equal_anc_out(a: Variable, b: Optional[Variable]) -> None:
-            tmp = b
-            while tmp is not None and not intersect(a, tmp):
-                tmp = equal_anc_in(tmp)
-            equal_anc_out[a] = tmp
-
-        def interference(a: Variable, b: Variable) -> bool:
-            """Paper's ``interference`` function: a against its dominating parent b."""
-            equal_anc_out.setdefault(a, None)
-            other = b
-            if (a in in_left) == (b in in_left):
-                # Same set: redirect the check to b's equal intersecting
-                # ancestor in the *other* set.
-                other = equal_anc_out.get(b)
-            if other is None:
-                return False
-            if not self.test.same_value(a, other):
-                return chain_intersect(a, other)
-            update_equal_anc_out(a, other)
-            return False
-
-        def plain_interference(a: Variable, b: Variable) -> bool:
-            """Intersection-only variant: test only across sets."""
-            if (a in in_left) == (b in in_left):
-                return False
-            self.pair_queries += 1
-            if self.test.kind is InterferenceKind.INTERSECT:
-                return oracle.intersect(a, b)
-            return self.test.interferes(a, b)
-
-        value_based = self.test.kind is InterferenceKind.VALUE
-        check = interference if value_based else plain_interference
+        variables = self.variables
+        rows = self._rows
+        keys = self._keys
+        value_of = self._value_of
+        equal_anc_in = self._equal_anc_in
+        intersect_rows = self.oracle.intersect_rows
+        value_based = self._value_based
+        equal_anc_out: AncestorMap = {}
+        queries = 0
 
         # Joint sweep of the two sorted lists in dominance pre-order ≺,
-        # simulating the recursive traversal of the dominance forest.
-        red = left.members
-        blue = right.members
+        # simulating the recursive traversal of the dominance forest.  Stack
+        # entries are (id, from left, index, dom-pre, dom-post).
+        red = left.ids
+        blue = right.ids
+        n_red = len(red)
+        n_blue = len(blue)
         ir = ib = 0
-        stack: List[Variable] = []
+        stack: List[tuple] = []
         stack_from_left = 0
         stack_from_right = 0
+        interferes = False
 
-        def should_continue() -> bool:
-            return (
-                (ir < len(red) and (stack_from_right > 0 or ib < len(blue)))
-                or (ib < len(blue) and (stack_from_left > 0 or ir < len(red)))
-            )
-
-        while should_continue():
-            if ir < len(red) and (
-                ib >= len(blue) or self._sort_key(red[ir]) <= self._sort_key(blue[ib])
-            ):
+        while (
+            (ir < n_red and (stack_from_right > 0 or ib < n_blue))
+            or (ib < n_blue and (stack_from_left > 0 or ir < n_red))
+        ):
+            if ir < n_red and (ib >= n_blue or keys[red[ir]] <= keys[blue[ib]]):
                 current = red[ir]
                 ir += 1
+                is_left = True
             else:
                 current = blue[ib]
                 ib += 1
+                is_left = False
+            row = rows[current]
+            _, index, pre, post = row
 
-            while stack and not oracle.dominates(stack[-1], current):
-                popped = stack.pop()
-                if popped in in_left:
+            # Pop the ancestors whose definition does not dominate current's.
+            while stack:
+                _, top_left, top_index, top_pre, top_post = stack[-1]
+                if top_index <= index if top_pre == pre else (top_pre <= pre and post <= top_post):
+                    break
+                stack.pop()
+                if top_left:
                     stack_from_left -= 1
                 else:
                     stack_from_right -= 1
 
-            parent = stack[-1] if stack else None
-            if parent is not None and check(current, parent):
-                return True, equal_anc_out
+            if stack:
+                parent, parent_left = stack[-1][0], stack[-1][1]
+                if value_based:
+                    # Paper's ``interference``: current against its dominating
+                    # parent, redirected to the parent's equal intersecting
+                    # ancestor in the other set when both come from one set.
+                    other = equal_anc_out.get(parent) if parent_left == is_left else parent
+                    if other is not None:
+                        # ``chain_intersect`` / ``update_equal_anc_out``: walk
+                        # the equal-ancestor chain to the first intersection.
+                        var = variables[current]
+                        tmp: Optional[int] = other
+                        while tmp is not None:
+                            queries += 1
+                            if intersect_rows(var, row, variables[tmp], rows[tmp]):
+                                break
+                            tmp = equal_anc_in[tmp]
+                        if value_of[current] != value_of[other]:
+                            if tmp is not None:
+                                interferes = True
+                                break
+                        elif tmp is not None:
+                            equal_anc_out[current] = tmp
+                elif parent_left != is_left:
+                    # Intersection-only variant: test only across sets.
+                    queries += 1
+                    if intersect_rows(variables[current], row, variables[parent], rows[parent]):
+                        interferes = True
+                        break
 
-            stack.append(current)
-            if current in in_left:
+            stack.append((current, is_left, index, pre, post))
+            if is_left:
                 stack_from_left += 1
             else:
                 stack_from_right += 1
 
-        return False, equal_anc_out
+        self.pair_queries += queries
+        return interferes, equal_anc_out
 
     # -- public check + merge ---------------------------------------------------------------------
     def interfere(
@@ -351,7 +515,7 @@ class CongruenceClasses:
         left: CongruenceClass,
         right: CongruenceClass,
         skip_pairs: Iterable[Tuple[Variable, Variable]] = (),
-    ) -> Tuple[bool, Dict[Variable, Optional[Variable]]]:
+    ) -> Tuple[bool, AncestorMap]:
         """Do the two classes interfere?  Returns ``(answer, equal_anc_out)``."""
         if left is right:
             return False, {}
@@ -380,60 +544,49 @@ class CongruenceClasses:
         self,
         left: CongruenceClass,
         right: CongruenceClass,
-        equal_anc_out: Optional[Dict[Variable, Optional[Variable]]] = None,
+        equal_anc_out: Optional[AncestorMap] = None,
     ) -> CongruenceClass:
-        """Coalesce two (non-interfering) classes into one; return the result."""
+        """Coalesce two (non-interfering) classes into one; return the result.
+
+        Union by size: the larger class (``left`` on a tie) absorbs the
+        smaller one, whose object is left stale.
+        """
         if left is right:
             return left
         if left.register and right.register and left.register != right.register:
             raise ValueError("cannot merge classes pinned to different registers")
 
-        merged_members: List[Variable] = []
-        i = j = 0
-        while i < len(left.members) or j < len(right.members):
-            if j >= len(right.members) or (
-                i < len(left.members)
-                and self._sort_key(left.members[i]) <= self._sort_key(right.members[j])
-            ):
-                merged_members.append(left.members[i])
-                i += 1
+        keys = self._keys
+        # One stable sort of two sorted runs is a merge (left first on ties).
+        merged = left.ids + right.ids
+        merged.sort(key=keys.__getitem__)
+        big, small = (left, right) if len(left.ids) >= len(right.ids) else (right, left)
+        big.ids = merged
+        big.register = left.register or right.register
+        class_by_id = self.class_by_id
+        for ident in small.ids:
+            class_by_id[ident] = big
+
+        if big.slot_mask is not None and small.slot_mask is not None:
+            if big.slot_mask < 0 or small.slot_mask < 0:
+                big.slot_mask = -1
             else:
-                merged_members.append(right.members[j])
-                j += 1
+                # Coalescing merges the matrix rows: the class's slot bits and
+                # adjacency are the OR of its parents' — no re-derivation.
+                big.slot_mask |= small.slot_mask
+                big.adj_mask = (big.adj_mask or 0) | (small.adj_mask or 0)
+        elif big.slot_mask is not None:
+            big.slot_mask = big.adj_mask = None
 
-        result = CongruenceClass(merged_members, register=left.register or right.register)
-        if (
-            left.slot_mask is not None
-            and right.slot_mask is not None
-            and left.slot_mask >= 0
-            and right.slot_mask >= 0
-        ):
-            # Coalescing merges the matrix rows: the class's slot bits and
-            # adjacency are the OR of its parents' — no re-derivation.
-            result.slot_mask = left.slot_mask | right.slot_mask
-            result.adj_mask = (left.adj_mask or 0) | (right.adj_mask or 0)
-        equal_anc_out = equal_anc_out or {}
-        for member in merged_members:
-            inside = (
-                left.equal_anc_in.get(member)
-                if member in left.equal_anc_in
-                else right.equal_anc_in.get(member)
-            )
-            outside = equal_anc_out.get(member)
-            result.equal_anc_in[member] = self._max_by_order(inside, outside)
-        for member in merged_members:
-            self._class_of[member] = result
-        return result
-
-    def _max_by_order(
-        self, a: Optional[Variable], b: Optional[Variable]
-    ) -> Optional[Variable]:
-        """The ≺-greater (i.e. deeper / nearer) of two optional ancestors."""
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a if self._sort_key(a) >= self._sort_key(b) else b
+        if equal_anc_out:
+            # Each member keeps the ≺-greater (deeper) of its ancestor in its
+            # own class and the one found in the other class.
+            equal_anc_in = self._equal_anc_in
+            for member, outside in equal_anc_out.items():
+                inside = equal_anc_in[member]
+                if inside is None or keys[inside] < keys[outside]:
+                    equal_anc_in[member] = outside
+        return big
 
     # -- convenience for drivers ----------------------------------------------------------------------
     def try_coalesce(

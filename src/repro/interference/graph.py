@@ -134,6 +134,11 @@ class InterferenceGraph:
         slot = self._slot(var)
         return self._sym[slot] if slot is not None else 0
 
+    def adjacency_rows(self) -> List[int]:
+        """Matrix slot -> symmetric adjacency mask (the live table: it grows
+        with the universe)."""
+        return self._sym
+
     def edge_count(self) -> int:
         return sum(
             1
@@ -422,6 +427,9 @@ class MatrixInterference(QueryInterference):
 
     def adjacency_bits(self, var) -> int:
         return self.graph.adjacency_bits(var)
+
+    def adjacency_rows(self) -> List[int]:
+        return self.graph.adjacency_rows()
 
     # -- accounting ----------------------------------------------------------------
     def matrix_bytes(self) -> int:

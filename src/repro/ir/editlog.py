@@ -9,13 +9,14 @@ today only the liveness checker's per-variable caches
 (:meth:`~repro.liveness.livecheck.LivenessChecker.apply_edits`); every other
 analysis, the flat arena included, is dropped and rebuilt.
 
-An edit carries exactly the two facts a per-variable analysis needs:
+An edit carries the blocks it touched and the variables it affects.  The
+checker reads two facts from a log:
 
-* ``touched_blocks`` — every block whose instruction list changed.  Cached
-  per-block summaries (def/use rows) for any *other* block remain exact.
 * ``affected_variables`` — every variable whose def/use structure may have
   changed anywhere.  Facts about any *other* variable remain exact, because
-  liveness decomposes per variable.
+  liveness decomposes per variable;
+* the ``BLOCK_SPLIT`` edits' ``(source, new block, target)`` triples — a
+  split edge changes the block sets of the variables live across it.
 
 The contract, relied on by every consumer: **a block whose instructions
 mention an affected variable must be logged as touched** (a rename, for
@@ -28,7 +29,7 @@ materialization logger in :mod:`repro.pipeline.phases`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.ir.instructions import Operand, Variable
 
@@ -58,9 +59,6 @@ class EditLog:
 
     def __init__(self) -> None:
         self.edits: List[CFGEdit] = []
-        #: Labels of blocks *created* by the logged edits (they need fresh
-        #: rows in row-per-block analyses, on top of being touched).
-        self.new_blocks: List[str] = []
 
     # -- recording ------------------------------------------------------------
     def record(self, edit: CFGEdit) -> None:
@@ -78,7 +76,6 @@ class EditLog:
         and ``target`` is touched because its φ-functions were re-keyed to the
         new predecessor.
         """
-        self.new_blocks.append(new_label)
         self.record(CFGEdit(BLOCK_SPLIT, (source, new_label, target)))
 
     def block_rewritten(self, block: str, variables: Iterable[Variable]) -> None:
@@ -95,13 +92,6 @@ class EditLog:
         )
 
     # -- consumption ----------------------------------------------------------
-    def touched_blocks(self) -> Set[str]:
-        """Every block whose instruction list changed (new blocks included)."""
-        touched: Set[str] = set()
-        for edit in self.edits:
-            touched.update(edit.blocks)
-        return touched
-
     def affected_variables(self) -> List[Variable]:
         """Variables whose def/use structure may have changed (deduplicated,
         first-mention order)."""
@@ -121,7 +111,4 @@ class EditLog:
         return iter(self.edits)
 
     def __repr__(self) -> str:
-        return (
-            f"EditLog({len(self.edits)} edits, "
-            f"{len(self.touched_blocks())} blocks touched)"
-        )
+        return f"EditLog({len(self.edits)} edits)"

@@ -20,9 +20,20 @@ from repro.ir.instructions import Variable
 from repro.liveness.base import LivenessOracle
 from repro.liveness.dataflow import LivenessSets
 
+#: ``(block, index, dom-pre, dom-post)`` of a definition, see
+#: :meth:`IntersectionOracle.definition_row`.
+DefinitionRow = Tuple[Optional[str], int, int, int]
+
 
 class IntersectionOracle:
-    """Dominance-based live-range intersection test with query counting."""
+    """Dominance-based live-range intersection test with query counting.
+
+    Besides the pairwise :meth:`intersect` it serves the congruence layer's id
+    table: :meth:`dominance_order_key` (the ≺ key a class is sorted by) and
+    :meth:`definition_row` are read once per variable, and
+    :meth:`intersect_rows` answers a query on two such cached rows.  Every
+    query, through either entry point, advances ``query_count``.
+    """
 
     def __init__(
         self,
@@ -36,17 +47,15 @@ class IntersectionOracle:
         self.query_count = 0
         # Definition points are fixed for the lifetime of the oracle (the
         # function is only rewritten after coalescing), so the ≺ sort keys
-        # are memoized: each variable's key is computed exactly once, no
-        # matter how many congruence-class merges re-compare it
+        # are memoized: each variable's key is computed exactly once
         # (``order_key_computations`` counts the misses; a regression test
         # pins it to the number of distinct variables).
         self._order_keys: Dict[Variable, tuple] = {}
         #: Fresh ≺-key computations (cache misses); never decremented.
         self.order_key_computations = 0
-        # Definition-dominance answers are similarly stable between edits and
-        # are re-asked constantly by the congruence sweeps (every stack
-        # pop/push tests the same few pairs); memoized per ordered pair.
-        self._dominates_memo: Dict[Tuple[Variable, Variable], bool] = {}
+        # Stand-in dominator-tree numbers of the definitions outside the tree
+        # (unreachable blocks, undefined variables); see ``definition_row``.
+        self._outside: Dict[object, int] = {}
 
     @property
     def domtree(self) -> DominatorTree:
@@ -61,35 +70,63 @@ class IntersectionOracle:
             self._domtree = DominatorTree(self.function)
         return self._domtree
 
+    def definition_row(self, var: Variable) -> DefinitionRow:
+        """``(block, index, dom-pre, dom-post)`` of the definition of ``var``.
+
+        The definition of ``a`` dominates that of ``b`` iff ``index_a <=
+        index_b`` when their ``dom-pre`` numbers are equal (one block), and
+        iff ``pre_a <= pre_b and post_b <= post_a`` otherwise.  A definition in an
+        unreachable block gets a negative stand-in number of its own for both
+        (it dominates only within its block); an undefined variable gets one
+        of its own and block ``None`` (it dominates and intersects nothing).
+        """
+        point = self.liveness.definition_of(var)
+        if point is None:
+            outside = -1 - self._outside.setdefault(var, len(self._outside))
+            return (None, 0, outside, outside)
+        interval = self.domtree.interval(point.block)
+        if interval is None:
+            outside = -1 - self._outside.setdefault(point.block, len(self._outside))
+            return (point.block, point.index, outside, outside)
+        return (point.block, point.index, interval[0], interval[1])
+
     def intersect(self, a: Variable, b: Variable) -> bool:
         """Do the live ranges of ``a`` and ``b`` intersect?"""
-        self.query_count += 1
         if a == b:
+            self.query_count += 1
             return True
-        def_a = self.liveness.definition_of(a)
-        def_b = self.liveness.definition_of(b)
-        if def_a is None or def_b is None:
-            return False
+        return self.intersect_rows(a, self.definition_row(a), b, self.definition_row(b))
 
+    def intersect_rows(
+        self, a: Variable, row_a: DefinitionRow, b: Variable, row_b: DefinitionRow
+    ) -> bool:
+        """:meth:`intersect` for two distinct variables, given their
+        :meth:`definition_row` s."""
+        self.query_count += 1
+        block_a, index_a, pre_a, post_a = row_a
+        block_b, index_b, pre_b, post_b = row_b
+        if block_a is None or block_b is None:
+            return False
         # In strict SSA two live ranges can only intersect if one definition
         # dominates the other (Budimlić et al.); check the dominated one.
-        domtree = self._domtree
-        if domtree is None:
-            domtree = self.domtree      # lazily built on first dominance use
-        if def_a.dominates(def_b, domtree):
-            if self.liveness.is_live_after(def_b.block, def_b.index, a):
-                return True
-        if def_b.dominates(def_a, domtree):
-            if self.liveness.is_live_after(def_a.block, def_a.index, b):
-                return True
+        if pre_a == pre_b:
+            a_dominates = index_a <= index_b
+            b_dominates = index_b <= index_a
+        else:
+            a_dominates = pre_a <= pre_b and post_b <= post_a
+            b_dominates = pre_b <= pre_a and post_a <= post_b
+        if a_dominates and self.liveness.is_live_after(block_b, index_b, a):
+            return True
+        if b_dominates and self.liveness.is_live_after(block_a, index_a, b):
+            return True
         return False
 
     def dominance_order_key(self, var: Variable):
         """Sort key placing variables in dominance pre-order of their definitions.
 
         This is the order ≺ used to keep congruence classes sorted for the
-        linear interference test (§IV-B).  Memoized: merges and re-sorts hit
-        the cache, so each variable's definition point is located once.
+        linear interference test (§IV-B).  Memoized, so each variable's
+        definition point is located once.
         """
         key = self._order_keys.get(var)
         if key is None:
@@ -105,21 +142,6 @@ class IntersectionOracle:
                 )
             self._order_keys[var] = key
         return key
-
-    def dominates(self, a: Variable, b: Variable) -> bool:
-        """Does the definition of ``a`` dominate the definition of ``b``?"""
-        memo_key = (a, b)
-        cached = self._dominates_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        def_a = self.liveness.definition_of(a)
-        def_b = self.liveness.definition_of(b)
-        if def_a is None or def_b is None:
-            answer = False
-        else:
-            answer = def_a.dominates(def_b, self.domtree)
-        self._dominates_memo[memo_key] = answer
-        return answer
 
 
 def live_ranges_intersect(function: Function, a: Variable, b: Variable) -> bool:

@@ -242,11 +242,16 @@ def out_of_ssa_passes() -> List[Pass]:
 def build_rename_map(
     function: Function, classes: CongruenceClasses
 ) -> Dict[Variable, Variable]:
+    """Each coalesced variable -> its class's representative (the
+    ≺-smallest member); variables the classes never saw keep their name."""
     mapping: Dict[Variable, Variable] = {}
+    variables = classes.variables
     for var in function.variables():
-        representative = classes.representative(var) if classes.same_class(var, var) else var
-        if representative != var:
-            mapping[var] = representative
+        cls = classes.find(var)
+        if cls is not None:
+            representative = variables[cls.ids[0]]
+            if representative != var:
+                mapping[var] = representative
     return mapping
 
 

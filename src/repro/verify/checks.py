@@ -242,8 +242,8 @@ def check_congruence_classes(
     * ``V402`` — a class's lazily maintained ``slot_mask``/``adj_mask`` rows
       (merged by ORs across coalesces) agree with a fresh recomputation from
       its members' matrix rows;
-    * ``V403`` — the classes partition the variables they claim: member lists
-      are disjoint and every variable's class actually contains it.
+    * ``V403`` — the classes partition the class table's ids: id lists are
+      disjoint and every id's class actually contains it.
     """
     found: List[Diagnostic] = []
     name = function.name
@@ -290,21 +290,22 @@ def check_congruence_classes(
                     function=name, stage=stage,
                 ))
 
-    seen: Dict[Variable, int] = {}
+    variables = classes.variables
+    seen: Dict[int, int] = {}
     for index, cls in enumerate(all_classes):
-        for member in cls.members:
-            if member in seen and seen[member] != index:
+        for ident in cls.ids:
+            if ident in seen and seen[ident] != index:
                 found.append(diagnostic(
                     "V403",
-                    f"variable {member} appears in two congruence classes",
+                    f"variable {variables[ident]} appears in two congruence classes",
                     function=name, stage=stage,
                 ))
-            seen[member] = index
-    for var, cls in classes._class_of.items():
-        if var not in cls.members:
+            seen[ident] = index
+    for ident, cls in enumerate(classes.class_by_id):
+        if ident not in cls.ids:
             found.append(diagnostic(
                 "V403",
-                f"variable {var} maps to a class that does not contain it",
+                f"variable {variables[ident]} maps to a class that does not contain it",
                 function=name, stage=stage,
             ))
     return found

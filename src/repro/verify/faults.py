@@ -155,13 +155,13 @@ def _corrupt_class_mask(ctx) -> None:
 
 
 def _corrupt_partition(ctx) -> None:
-    """Let one variable appear in two classes (V403)."""
+    """Put one id of the class table in two classes (V403)."""
     classes = ctx.classes
     all_classes = classes.classes()
     if len(all_classes) < 2:
         raise AssertionError("program needs at least two congruence classes")
     first, second = all_classes[0], all_classes[1]
-    second.members.append(first.members[0])
+    second.ids.append(first.ids[0])
 
 
 def _leave_phi(ctx) -> None:

@@ -199,13 +199,6 @@ class TestOrderKeyMemoization:
                 sorted(cls.members, key=oracle.dominance_order_key)
             assert oracle.order_key_computations == before
 
-    def test_dominates_is_memoized(self):
-        function = straight_line_copies()
-        oracle = IntersectionOracle(function, LivenessSets(function))
-        assert oracle.dominates(v("a"), v("b"))
-        assert (v("a"), v("b")) in oracle._dominates_memo
-        assert oracle.dominates(v("a"), v("b"))
-
 
 # --------------------------------------------------------------------------- class rows
 class TestMatrixClassRows:
@@ -266,3 +259,100 @@ class TestMatrixClassRows:
         answer, _ = rows.interfere(left, rows.class_of(other))
         assert rows.class_row_checks == 0     # fell back: member without a slot
         assert isinstance(answer, bool)
+
+
+# --------------------------------------------------------------------------- row-AND quadratic check
+class TestRowAndQuadraticParity:
+    """On the matrix backend the quadratic check answers each left member with
+    one AND of its adjacency row against the other class's slot bits.  Under
+    Sreedhar III's skip-pair rule it must give the pairwise sweep's verdict and
+    advance ``pair_queries`` and ``matrix_hits`` by exactly the number of
+    queries that sweep issues up to its first hit."""
+
+    @staticmethod
+    def _pairwise(backend, left, right, skip):
+        """The reference sweep: ``(verdict, queries issued)``."""
+        issued = 0
+        for a in left.members:
+            for b in right.members:
+                if (a, b) in skip or (b, a) in skip:
+                    continue
+                issued += 1
+                if backend.interferes(a, b):
+                    return True, issued
+        return False, issued
+
+    def test_row_and_matches_the_pairwise_sweep_under_skip_pairs(self):
+        from repro.coalescing.engine import collect_affinities
+        from repro.interference.graph import MatrixInterference
+        from repro.liveness.bitsets import BitLivenessSets
+
+        checks = skipped_edge_passes = 0
+        for function in generated_programs(count=6, size=35):
+            function = function.copy()
+            insertion = insert_phi_copies(function)
+            oracle = IntersectionOracle(function, BitLivenessSets(function))
+            backend = MatrixInterference(function, oracle, InterferenceKind.INTERSECT)
+            classes = CongruenceClasses(backend, use_linear_check=False)
+            for members in insertion.phi_nodes:
+                classes.make_class(members)
+            for affinity in collect_affinities(function, insertion):
+                left = classes.class_of(affinity.dst)
+                right = classes.class_of(affinity.src)
+                if left is right:
+                    continue
+                skip = {(affinity.dst, affinity.src)}
+                hits = backend.matrix_hits
+                copy_edge = backend.interferes(affinity.dst, affinity.src)
+                expected, issued = self._pairwise(backend, left, right, skip)
+                backend.matrix_hits = hits        # the reference's hits do not count
+                queries = classes.pair_queries
+
+                answer, _ = classes.interfere(left, right, skip_pairs=list(skip))
+
+                assert answer == expected, (function.name, str(affinity.dst))
+                assert classes.pair_queries - queries == issued
+                assert backend.matrix_hits - hits == issued
+                checks += 1
+                if not answer:
+                    skipped_edge_passes += copy_edge
+                    classes.merge(left, right)
+        assert classes.class_row_checks == 0      # skip pairs: never the class AND
+        assert checks > 0
+        # Merges past an interfering copy pair: only masking that pair out of
+        # the row (and out of the count) gets these right.
+        assert skipped_edge_passes > 0
+
+
+# --------------------------------------------------------------------------- suite counters
+class TestSuiteCounterSums:
+    """The Figure 6 query counters and the copies left, summed over the
+    65-function suite per engine — the class checks must issue exactly these
+    queries whatever their representation."""
+
+    PINNED = {
+        # engine: (pair_queries, intersection_queries, class_row_checks, remaining_copies)
+        "sreedhar_iii": (82371, 12, 0, 1077),
+        "us_iii": (0, 12, 5632, 954),
+        "us_iii_intercheck": (88208, 88220, 0, 954),
+        "us_iii_intercheck_livecheck": (88208, 88220, 0, 954),
+        "us_iii_linear_intercheck_livecheck": (11794, 11806, 0, 954),
+        "us_i": (0, 12, 5638, 964),
+        "us_i_linear_intercheck_livecheck": (11350, 11362, 0, 964),
+    }
+
+    def test_per_engine_sums_are_pinned(self):
+        from repro.bench.suite import build_suite
+        from repro.pipeline import Pipeline
+
+        functions = [f for group in build_suite(1.0).values() for f in group]
+        assert len(functions) == 65
+        for engine, expected in self.PINNED.items():
+            sums = [0, 0, 0, 0]
+            for function in functions:
+                stats = Pipeline.for_engine(engine).run(function.copy()).stats
+                sums[0] += stats.pair_queries
+                sums[1] += stats.intersection_queries
+                sums[2] += stats.class_row_checks
+                sums[3] += stats.remaining_copies
+            assert tuple(sums) == expected, engine

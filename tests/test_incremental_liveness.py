@@ -23,15 +23,15 @@ class TestEditLog:
         log.copy_inserted("entry", a, b)
         log.block_split("entry", "join", "entry_join.1")
         log.block_rewritten("join", [b])
-        assert log.touched_blocks() == {"entry", "join", "entry_join.1"}
+        assert [edit.blocks for edit in log] == [
+            ("entry",), ("entry", "entry_join.1", "join"), ("join",)
+        ]
         assert log.affected_variables() == [a, b]
-        assert log.new_blocks == ["entry_join.1"]
         assert len(log) == 3 and bool(log)
 
     def test_empty_log_is_falsy(self):
         log = EditLog()
         assert not log and len(log) == 0
-        assert log.touched_blocks() == set()
 
 
 # --------------------------------------------------------------------------- generation guard

@@ -186,7 +186,7 @@ class TestLivenessChecker:
         for target in joins:
             for source in list(function.predecessors(target)):
                 log.block_split(source, target, function.split_edge(source, target).label)
-        assert len(log.new_blocks) >= 2
+        assert len(log) >= 2
         checker.apply_edits(log)
         sets = LivenessSets(function)
         for block in function.blocks:
@@ -235,6 +235,50 @@ class TestIntersection:
         assert ordered[0] == v("n")          # parameter: defined before everything
         assert ordered[1] == v("i0")
         assert ordered[-1] == v("s2")
+
+    def test_definition_rows_decide_dominance_like_program_points(self):
+        """The row test (one block: index order; else dominator-tree
+        intervals) agrees with ``ProgramPoint.dominates`` for every pair —
+        including a block no path reaches and a variable nobody defines."""
+        from repro.ir.builder import FunctionBuilder
+
+        fb = FunctionBuilder("with_dead_block", params=("p",))
+        entry, dead, done = fb.blocks("entry", "dead", "done")
+        with fb.at(entry):
+            a = fb.const(1, name="a")
+            fb.jump(done)
+        with fb.at(dead):
+            d = fb.const(2, name="d")
+            e = fb.const(3, name="e")
+            fb.jump(done)
+        with fb.at(done):
+            fb.print(a)
+            fb.ret(a)
+        programs = [fb.finish(), loop_function(), figure4_lost_copy_problem()]
+        programs += generated_programs(count=2, size=25)
+        for function in programs:
+            oracle = IntersectionOracle(function, LivenessSets(function))
+            variables = function.variables() + [v("undefined0"), v("undefined1")]
+            rows = {var: oracle.definition_row(var) for var in variables}
+
+            def row_dominates(x, y):
+                _, index_x, pre_x, post_x = rows[x]
+                _, index_y, pre_y, post_y = rows[y]
+                if pre_x == pre_y:
+                    return index_x <= index_y
+                return pre_x <= pre_y and post_y <= post_x
+
+            for x in variables:
+                for y in variables:
+                    if x == y:
+                        continue
+                    def_x = oracle.liveness.definition_of(x)
+                    def_y = oracle.liveness.definition_of(y)
+                    expected = (
+                        def_x is not None and def_y is not None
+                        and def_x.dominates(def_y, oracle.domtree)
+                    )
+                    assert row_dominates(x, y) == expected, (function.name, x, y)
 
     def test_query_counter(self):
         function = loop_function()
