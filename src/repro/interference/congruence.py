@@ -172,14 +172,15 @@ class CongruenceClasses:
         self._id_of[var] = ident
         self.variables.append(var)
         self.class_by_id.append(None)  # type: ignore[arg-type]
-        oracle = self.oracle
-        self._keys.append(oracle.dominance_order_key(var))
-        self._rows.append(oracle.definition_row(var))
+        key, row = self.oracle.order_key_and_row(var)
+        self._keys.append(key)
+        self._rows.append(row)
         if self._values is not None:
-            value_ids = self._value_ids
-            self._value_of.append(
-                value_ids.setdefault(self._values.value(var), len(value_ids))
-            )
+            value = self._values.value(var)
+            value_id = self._value_ids.get(value)
+            if value_id is None:
+                value_id = self._value_ids[value] = len(self._value_ids)
+            self._value_of.append(value_id)
         else:
             self._value_of.append(-1 - ident)  # no value table: no two share one
         slot = self.test.slot(var) if self._adjacency is not None else None

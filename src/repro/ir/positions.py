@@ -22,7 +22,7 @@ coming from predecessor ``P`` is read "on the edge", i.e. at the pseudo-point
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -157,3 +157,121 @@ def use_points(function: Function) -> Dict[Variable, List[ProgramPoint]]:
                         ProgramPoint(pred_label, edge_index(pred_block), phi)
                     )
     return uses
+
+
+class DefUseIndex:
+    """Every definition and use position of a function, from one walk.
+
+    The out-of-SSA analyses all start from the same facts: which variables
+    the function mentions, where each is defined and used, and which are
+    defined more than once.  This index gathers them in a single pass over
+    the blocks (schedule indices are computed inline, no
+    :func:`block_schedule` lists), so the
+    :class:`~repro.pipeline.analysis.AnalysisCache` can serve one instance to
+    the numbering, the liveness oracles and the SSA value table.
+
+    * ``variables`` — in exactly :meth:`Function.variables` order
+      (parameters, then each instruction's defs before its uses);
+    * ``def_points`` — as :func:`definition_points` (a
+      :class:`ProgramPoint` carrying the defining instruction);
+    * ``use_points`` — as :func:`use_points`, but each use is a plain
+      ``(block, index)`` pair (φ-arguments at the predecessor's edge point);
+    * ``last_use`` — ``(variable, block) -> index`` of the block's latest use;
+    * ``multiply_defined`` — variables defined by more than one instruction.
+
+    >>> from repro.ir.parser import parse_function
+    >>> function = parse_function('''
+    ... function count(n) {
+    ...   entry:
+    ...     i = copy n
+    ...     jump loop
+    ...   loop:
+    ...     j = phi [entry: i, loop: k]
+    ...     k = add j, n
+    ...     brdec i, loop, done
+    ...   done:
+    ...     ret k
+    ... }''')
+    >>> index = DefUseIndex(function)
+    >>> index.variables == function.variables()
+    True
+    >>> index.def_points[Variable("k")]
+    ProgramPoint(loop, 2)
+    >>> index.use_points[Variable("k")]    # the φ reads it on loop's edge
+    [('loop', 5), ('done', 3)]
+    >>> index.last_use[(Variable("i"), "loop")]    # brdec, the terminator
+    4
+    >>> index.multiply_defined    # the copy and the brdec
+    {Variable('i')}
+    """
+
+    __slots__ = ("variables", "def_points", "use_points", "last_use", "multiply_defined")
+
+    def __init__(self, function: Function) -> None:
+        seen: Dict[Variable, None] = {}
+        def_points: Dict[Variable, ProgramPoint] = {}
+        use_points: Dict[Variable, List[Tuple[str, int]]] = {}
+        last_use: Dict[Tuple[Variable, str], int] = {}
+        defined: Set[Variable] = set()
+        multiply_defined: Set[Variable] = set()
+        blocks = function.blocks
+
+        def define(var: Variable, label: str, index: int, instruction: Instruction) -> None:
+            seen[var] = None
+            if var in defined:
+                multiply_defined.add(var)
+                return
+            defined.add(var)
+            if var not in def_points:
+                def_points[var] = ProgramPoint(label, index, instruction)
+
+        def use(var: Variable, label: str, index: int) -> None:
+            points = use_points.get(var)
+            if points is None:
+                use_points[var] = [(label, index)]
+            else:
+                points.append((label, index))
+            key = (var, label)
+            if last_use.get(key, -1) < index:
+                last_use[key] = index
+
+        def visit(label: str, index: int, instruction: Instruction) -> None:
+            for var in instruction.defs():
+                define(var, label, index, instruction)
+            for var in instruction.uses():
+                seen[var] = None
+                use(var, label, index)
+
+        entry_label = function.entry_label
+        assert entry_label is not None
+        for param in function.params:
+            seen[param] = None
+            def_points[param] = ProgramPoint(entry_label, -1, None)
+
+        for label, block in blocks.items():
+            phis = block.phis
+            for phi in phis:
+                define(phi.dst, label, PHI_INDEX, phi)
+                for arg in phi.args.values():
+                    if isinstance(arg, Variable):
+                        seen[arg] = None
+            if block.entry_pcopy is not None:
+                visit(label, ENTRY_PCOPY_INDEX, block.entry_pcopy)
+            index = BODY_START_INDEX
+            for instruction in block.body:
+                visit(label, index, instruction)
+                index += 1
+            if block.exit_pcopy is not None:
+                visit(label, index, block.exit_pcopy)
+            if block.terminator is not None:
+                visit(label, index + 1, block.terminator)
+            for phi in phis:
+                for pred_label, arg in phi.args.items():
+                    if isinstance(arg, Variable):
+                        use(arg, pred_label, edge_index(blocks[pred_label]))
+
+        self.variables: List[Variable] = list(seen)
+        self.def_points = def_points
+        self.use_points = use_points
+        self.last_use = last_use
+        self.multiply_defined = multiply_defined

@@ -2,8 +2,9 @@
 
 The only block-level facts an oracle must provide are ``is_live_in`` and
 ``is_live_out``; every finer-grained query (live after a given program point,
-live at a definition) is derived here from the definition/use position maps,
-which both oracles share.
+live at a definition) is derived here from the definition/use position maps
+of a :class:`~repro.ir.positions.DefUseIndex`, which the analysis cache
+shares between the oracle and the other analyses of one translation.
 
 Conventions (see :mod:`repro.ir.positions`):
 
@@ -22,35 +23,34 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ir.function import Function
 from repro.ir.instructions import Variable
-from repro.ir.positions import ProgramPoint, definition_points, use_points
+from repro.ir.positions import DefUseIndex, ProgramPoint
 
 
 class LivenessOracle:
     """Base class: block-level liveness plus derived program-point queries."""
 
-    def __init__(self, function: Function) -> None:
+    def __init__(self, function: Function, index: Optional[DefUseIndex] = None) -> None:
         self.function = function
-        self._index_positions()
+        self._index_positions(index)
 
-    def _index_positions(self) -> None:
-        """(Re)build the definition/use position maps from the function.
+    def _index_positions(self, index: Optional[DefUseIndex] = None) -> None:
+        """Take the definition/use position maps from a :class:`DefUseIndex`.
 
-        Called at construction; :class:`~repro.liveness.livecheck.LivenessChecker`
-        calls it again after the function was edited underneath it (see
-        its ``apply_edits``).
+        The analysis cache passes its shared index (one walk of the function
+        per translation); without one, the function is walked here.
+        :class:`~repro.liveness.livecheck.LivenessChecker` calls this again,
+        with no index, after the function was edited underneath it (see its
+        ``apply_edits``).
         """
-        function = self.function
-        self.def_points: Dict[Variable, ProgramPoint] = definition_points(function)
-        self.use_points: Dict[Variable, List[ProgramPoint]] = use_points(function)
+        if index is None:
+            index = DefUseIndex(self.function)
+        self.index = index
+        self.def_points: Dict[Variable, ProgramPoint] = index.def_points
+        #: ``(block, index)`` of every use (see :class:`DefUseIndex`).
+        self.use_points: Dict[Variable, List[Tuple[str, int]]] = index.use_points
         # Per-variable, per-block index of the latest use (for "used after"
         # queries without re-scanning blocks).
-        self._last_use_index: Dict[Tuple[Variable, str], int] = {}
-        for var, points in self.use_points.items():
-            for point in points:
-                key = (var, point.block)
-                previous = self._last_use_index.get(key, -1)
-                if point.index > previous:
-                    self._last_use_index[key] = point.index
+        self._last_use_index: Dict[Tuple[Variable, str], int] = index.last_use
 
     # -- to be provided by concrete oracles --------------------------------------
     def is_live_in(self, block_label: str, var: Variable) -> bool:

@@ -34,6 +34,7 @@ from typing import Dict, Iterator, List, Optional
 from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
 from repro.ir.instructions import Variable
+from repro.ir.positions import DefUseIndex
 from repro.liveness.base import LivenessOracle
 from repro.liveness.numbering import VariableNumbering
 from repro.utils.bitset import BitSet
@@ -51,6 +52,7 @@ class BitLivenessSets(LivenessOracle):
         function: Function,
         numbering: Optional[VariableNumbering] = None,
         flat: Optional[FlatFunction] = None,
+        index: Optional[DefUseIndex] = None,
     ) -> None:
         """``numbering`` lets one dense numbering be shared with the
         interference bit-matrix: when given, the function's variables are
@@ -58,12 +60,15 @@ class BitLivenessSets(LivenessOracle):
 
         ``flat`` shares an arena (the analysis cache passes its
         generation-stamped instance); when absent or stale, one is lowered
-        privately — the solver never mutates it."""
-        super().__init__(function)
+        privately — the solver never mutates it.
+
+        ``index`` shares the position maps (see :class:`LivenessOracle`);
+        the variables numbered are the index's."""
+        super().__init__(function, index)
         if numbering is None:
-            numbering = VariableNumbering.of_function(function)
+            numbering = VariableNumbering(self.index.variables)
         else:
-            for var in function.variables():
+            for var in self.index.variables:
                 numbering.ensure(var)
         self.numbering = numbering
         self.live_in: Dict[str, BitSet] = {}
@@ -96,8 +101,8 @@ class BitLivenessSets(LivenessOracle):
             bytearray(b"\x01") * num_blocks,
         )
 
-        # The numbering may have grown while lowering (defensive: variables()
-        # already covers every def and use).
+        # The numbering may have grown while lowering (defensive: the index's
+        # variables already cover every def and use).
         universe = len(self.numbering)
         from_bits = BitSet.from_bits
         bits_in: Dict[str, int] = {}

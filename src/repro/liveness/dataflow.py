@@ -15,10 +15,11 @@ flow from and φ-results are defined at the top of their block.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.ir.function import Function
 from repro.ir.instructions import Phi, Variable
+from repro.ir.positions import DefUseIndex
 from repro.liveness.base import LivenessOracle
 from repro.utils.instrument import record_allocation
 from repro.utils.orderedset import OrderedSet
@@ -27,8 +28,8 @@ from repro.utils.orderedset import OrderedSet
 class LivenessSets(LivenessOracle):
     """Live-in / live-out sets for every block, computed to a fixpoint."""
 
-    def __init__(self, function: Function) -> None:
-        super().__init__(function)
+    def __init__(self, function: Function, index: Optional[DefUseIndex] = None) -> None:
+        super().__init__(function, index)
         self.live_in: Dict[str, OrderedSet] = {}
         self.live_out: Dict[str, OrderedSet] = {}
         self._compute()

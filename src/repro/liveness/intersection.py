@@ -30,7 +30,8 @@ class IntersectionOracle:
 
     Besides the pairwise :meth:`intersect` it serves the congruence layer's id
     table: :meth:`dominance_order_key` (the ≺ key a class is sorted by) and
-    :meth:`definition_row` are read once per variable, and
+    :meth:`definition_row` are read once per variable, both from one lookup
+    through :meth:`order_key_and_row`, and
     :meth:`intersect_rows` answers a query on two such cached rows.  Every
     query, through either entry point, advances ``query_count``.
     """
@@ -80,7 +81,10 @@ class IntersectionOracle:
         (it dominates only within its block); an undefined variable gets one
         of its own and block ``None`` (it dominates and intersects nothing).
         """
-        point = self.liveness.definition_of(var)
+        return self._row(var, self.liveness.def_points.get(var))
+
+    def _row(self, var: Variable, point) -> DefinitionRow:
+        """:meth:`definition_row` of ``var`` defined at ``point``."""
         if point is None:
             outside = -1 - self._outside.setdefault(var, len(self._outside))
             return (None, 0, outside, outside)
@@ -89,6 +93,23 @@ class IntersectionOracle:
             outside = -1 - self._outside.setdefault(point.block, len(self._outside))
             return (point.block, point.index, outside, outside)
         return (point.block, point.index, interval[0], interval[1])
+
+    def order_key_and_row(self, var: Variable) -> Tuple[tuple, DefinitionRow]:
+        """:meth:`dominance_order_key` and :meth:`definition_row` of ``var``
+        from one lookup of its definition point (the congruence id table
+        reads both when it interns a variable).  The key is memoized and
+        counted exactly as :meth:`dominance_order_key` does."""
+        point = self.liveness.def_points.get(var)
+        row = self._row(var, point)
+        key = self._order_keys.get(var)
+        if key is None:
+            self.order_key_computations += 1
+            if point is None:
+                key = (-1, -1, var.name)
+            else:
+                key = (self.domtree.preorder_index(point.block), point.index, var.name)
+            self._order_keys[var] = key
+        return key, row
 
     def intersect(self, a: Variable, b: Variable) -> bool:
         """Do the live ranges of ``a`` and ``b`` intersect?"""
@@ -130,17 +151,7 @@ class IntersectionOracle:
         """
         key = self._order_keys.get(var)
         if key is None:
-            self.order_key_computations += 1
-            def_point = self.liveness.definition_of(var)
-            if def_point is None:
-                key = (-1, -1, var.name)
-            else:
-                key = (
-                    self.domtree.preorder_index(def_point.block),
-                    def_point.index,
-                    var.name,
-                )
-            self._order_keys[var] = key
+            key = self.order_key_and_row(var)[0]
         return key
 
 

@@ -21,12 +21,12 @@ are moved, introduced, or removed").
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.ir.editlog import BLOCK_SPLIT, EditLog
 from repro.ir.function import Function
 from repro.ir.instructions import Variable
-from repro.ir.positions import edge_index
+from repro.ir.positions import DefUseIndex, edge_index
 from repro.liveness.base import LivenessOracle
 from repro.utils.instrument import record_allocation
 
@@ -34,8 +34,8 @@ from repro.utils.instrument import record_allocation
 class LivenessChecker(LivenessOracle):
     """Query-based liveness oracle (no global live-in / live-out sets)."""
 
-    def __init__(self, function: Function) -> None:
-        super().__init__(function)
+    def __init__(self, function: Function, index: Optional[DefUseIndex] = None) -> None:
+        super().__init__(function, index)
         # Per-variable caches, filled lazily on first query.
         self._live_in_blocks: Dict[Variable, Set[str]] = {}
         self._live_out_blocks: Dict[Variable, Set[str]] = {}
@@ -56,20 +56,20 @@ class LivenessChecker(LivenessOracle):
         )
 
         worklist = []
-        for use in self.use_points.get(var, ()):  # pragma: no branch
-            use_block = self.function.blocks[use.block]
-            if use.index == edge_index(use_block):
-                # φ-argument read on the out-edges of ``use.block``.
-                live_out.add(use.block)
-                if use.block != def_block:
-                    if use.block not in live_in:
-                        live_in.add(use.block)
-                        worklist.append(use.block)
+        blocks = self.function.blocks
+        for use_block, use_index in self.use_points.get(var, ()):  # pragma: no branch
+            if use_index == edge_index(blocks[use_block]):
+                # φ-argument read on the out-edges of ``use_block``.
+                live_out.add(use_block)
+                if use_block != def_block:
+                    if use_block not in live_in:
+                        live_in.add(use_block)
+                        worklist.append(use_block)
             else:
-                if use.block != def_block or (def_point is not None and def_point.index > use.index):
-                    if use.block not in live_in:
-                        live_in.add(use.block)
-                        worklist.append(use.block)
+                if use_block != def_block or (def_point is not None and def_point.index > use_index):
+                    if use_block not in live_in:
+                        live_in.add(use_block)
+                        worklist.append(use_block)
 
         while worklist:
             label = worklist.pop()
@@ -125,11 +125,12 @@ class LivenessChecker(LivenessOracle):
             for var in stale:
                 drop(var)
 
-        # Re-index the definition/use position maps eagerly: queries are the
-        # hot path of every LiveCheck engine, so they must stay free of
-        # staleness checks; the patch itself is still far below a rebuild
-        # (the per-variable walk caches — the expensive part — refill only
-        # for the dropped entries).
+        # Re-index the definition/use position maps eagerly, from a fresh
+        # DefUseIndex of the edited function (the cache's shared one is
+        # stale now): queries are the hot path of every LiveCheck engine, so
+        # they must stay free of staleness checks; the patch itself is still
+        # far below a rebuild (the per-variable walk caches — the expensive
+        # part — refill only for the dropped entries).
         self._index_positions()
         return dropped
 

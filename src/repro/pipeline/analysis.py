@@ -1,9 +1,10 @@
 """The shared analysis layer of the pass pipeline.
 
 The out-of-SSA phases consume a small, fixed family of analyses — dominator
-tree, dense variable numbering, a liveness oracle, live-range intersection,
-SSA values, block frequencies.  The legacy driver constructed all of them
-privately per run; the :class:`AnalysisCache` gives them ownership semantics:
+tree, the def/use index (one walk of the function), dense variable
+numbering, a liveness oracle, live-range intersection, SSA values, block
+frequencies.  The legacy driver constructed all of them privately per run;
+the :class:`AnalysisCache` gives them ownership semantics:
 
 * analyses are keyed by their *type* and built lazily on :meth:`get`;
 * builders may request other analyses, and those requests are recorded as
@@ -17,7 +18,10 @@ privately per run; the :class:`AnalysisCache` gives them ownership semantics:
 Sharing falls out of the keying: the bit-set liveness rows and the
 interference bit-matrix both request :class:`~repro.liveness.numbering.VariableNumbering`
 from the cache and therefore index their bits identically — one numbering
-instance per engine run, the ROADMAP follow-up.
+instance per engine run, the ROADMAP follow-up.  Likewise the numbering, the
+liveness oracles and the value table all read one
+:class:`~repro.ir.positions.DefUseIndex`, so the function is walked for its
+definitions and uses once per translation.
 
 A worked example — build, share, mutate, get caught:
 
@@ -68,6 +72,7 @@ from repro.interference.base import InterferenceKind, InterferenceOracle, QueryI
 from repro.interference.graph import MatrixInterference
 from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
+from repro.ir.positions import DefUseIndex
 from repro.liveness.base import LivenessOracle
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
@@ -151,21 +156,25 @@ AnalysisBuilder = Callable[["AnalysisCache"], object]
 
 _DEFAULT_BUILDERS: Dict[type, AnalysisBuilder] = {
     DominatorTree: lambda cache: DominatorTree(cache.function),
-    VariableNumbering: lambda cache: VariableNumbering.of_function(cache.function),
+    DefUseIndex: lambda cache: DefUseIndex(cache.function),
+    VariableNumbering: lambda cache: VariableNumbering(cache.get(DefUseIndex).variables),
     FlatFunction: lambda cache: FlatFunction(
         cache.function, cache.get(VariableNumbering)
     ),
-    LivenessSets: lambda cache: LivenessSets(cache.function),
+    LivenessSets: lambda cache: LivenessSets(cache.function, cache.get(DefUseIndex)),
     BitLivenessSets: lambda cache: BitLivenessSets(
         cache.function,
         numbering=cache.get(VariableNumbering),
         flat=cache.get(FlatFunction),
+        index=cache.get(DefUseIndex),
     ),
-    LivenessChecker: lambda cache: LivenessChecker(cache.function),
+    LivenessChecker: lambda cache: LivenessChecker(cache.function, cache.get(DefUseIndex)),
     IntersectionOracle: lambda cache: IntersectionOracle(
         cache.function, cache.liveness(), cache.get(DominatorTree)
     ),
-    ValueTable: lambda cache: ValueTable(cache.function, cache.get(DominatorTree)),
+    ValueTable: lambda cache: ValueTable(
+        cache.function, cache.get(DominatorTree), cache.get(DefUseIndex)
+    ),
     BlockFrequencies: lambda cache: BlockFrequencies(
         estimate_block_frequencies(cache.function, domtree=cache.get(DominatorTree))
     ),

@@ -204,7 +204,7 @@ class MaterializationPass(Pass):
         )
         edit_log = EditLog() if checker is not None else None
 
-        rename_map = build_rename_map(function, ctx.classes)
+        rename_map = build_rename_map(ctx.classes)
         shared_destinations = {
             affinity.dst
             for affinity in ctx.coalescing.remaining_affinities
@@ -239,15 +239,13 @@ def out_of_ssa_passes() -> List[Pass]:
 
 
 # --------------------------------------------------------------------------- materialization helpers
-def build_rename_map(
-    function: Function, classes: CongruenceClasses
-) -> Dict[Variable, Variable]:
+def build_rename_map(classes: CongruenceClasses) -> Dict[Variable, Variable]:
     """Each coalesced variable -> its class's representative (the
-    ≺-smallest member); variables the classes never saw keep their name."""
+    ≺-smallest member), read off the classes' id table; variables the
+    classes never saw keep their name."""
     mapping: Dict[Variable, Variable] = {}
     variables = classes.variables
-    for var in function.variables():
-        cls = classes.find(var)
+    for var, cls in zip(variables, classes.class_by_id):
         if cls is not None:
             representative = variables[cls.ids[0]]
             if representative != var:

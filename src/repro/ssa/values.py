@@ -23,31 +23,36 @@ from typing import Dict, Hashable, Optional, Union
 from repro.cfg.dominance import DominatorTree
 from repro.ir.function import Function
 from repro.ir.instructions import Constant, Copy, Instruction, ParallelCopy, Variable
-from repro.ir.positions import block_schedule
+from repro.ir.positions import DefUseIndex
 
 ValueId = Hashable
 
 
 class ValueTable:
-    """Maps every SSA variable to its value representative."""
+    """Maps every SSA variable to its value representative.
 
-    def __init__(self, function: Function, domtree: Optional[DominatorTree] = None) -> None:
+    Variables with several definitions (``br_dec`` counters) are not
+    single-valued: each keeps a value of its own.  That *volatile* set is
+    the ``multiply_defined`` set of a :class:`~repro.ir.positions.DefUseIndex`
+    (the analysis cache passes its shared one; without it, the function is
+    walked here).
+    """
+
+    def __init__(
+        self,
+        function: Function,
+        domtree: Optional[DominatorTree] = None,
+        index: Optional[DefUseIndex] = None,
+    ) -> None:
         self.function = function
         self.domtree = domtree or DominatorTree(function)
         self._value: Dict[Variable, ValueId] = {}
-        self._volatile = self._multiply_defined()
+        if index is None:
+            index = DefUseIndex(function)
+        self._volatile = index.multiply_defined
         self._compute()
 
     # -- construction -----------------------------------------------------------
-    def _multiply_defined(self) -> set:
-        """Variables with several definitions (``br_dec`` counters): not single-valued."""
-        counts: Dict[Variable, int] = {}
-        for block in self.function:
-            for instruction in block.instructions():
-                for var in instruction.defs():
-                    counts[var] = counts.get(var, 0) + 1
-        return {var for var, count in counts.items() if count > 1}
-
     def _value_of_operand(self, operand: Union[Variable, Constant]) -> ValueId:
         if isinstance(operand, Constant):
             return ("const", operand.value)
@@ -77,13 +82,12 @@ class ValueTable:
         for param in self.function.params:
             self._value[param] = param
         for label in self.domtree.dominator_tree_preorder():
-            block = self.function.blocks[label]
-            for _, instruction in block_schedule(block):
+            for instruction in self.function.blocks[label].instructions():
                 self._record(instruction)
         # Variables in unreachable blocks still get a (trivial) value.
         for block in self.function:
             if block.label not in self.domtree._rpo_index:
-                for _, instruction in block_schedule(block):
+                for instruction in block.instructions():
                     for var in instruction.defs():
                         self._value.setdefault(var, var)
 

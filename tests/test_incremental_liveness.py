@@ -6,6 +6,7 @@ import pytest
 from repro.bench.suite import build_suite
 from repro.ir.editlog import EditLog
 from repro.ir.instructions import Copy, Variable
+from repro.ir.positions import DefUseIndex
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.numbering import VariableNumbering
 from repro.outofssa.config import engine_by_name
@@ -64,10 +65,21 @@ class TestGenerationGuard:
         cache = AnalysisCache(function)
         cache.get(BitLivenessSets)
         function.split_edge("entry", "left")
-        cache.invalidate(BitLivenessSets, VariableNumbering)
+        cache.invalidate(BitLivenessSets, VariableNumbering, DefUseIndex)
         # A rebuild at the current generation serves cleanly.
         rebuilt = cache.get(BitLivenessSets)
         assert rebuilt is cache.get(BitLivenessSets)
+
+    def test_rebuild_over_a_stale_def_use_index_raises(self):
+        # The liveness rows and the numbering are rebuilt, but the def/use
+        # index they read was computed before the edit and not invalidated.
+        function = diamond_function()
+        cache = AnalysisCache(function)
+        cache.get(BitLivenessSets)
+        function.split_edge("entry", "left")
+        cache.invalidate(BitLivenessSets, VariableNumbering)
+        with pytest.raises(StaleAnalysisError, match="DefUseIndex"):
+            cache.get(BitLivenessSets)
 
     def test_generation_advances_on_cfg_edits(self):
         function = diamond_function()

@@ -239,7 +239,8 @@ class TestIntersection:
     def test_definition_rows_decide_dominance_like_program_points(self):
         """The row test (one block: index order; else dominator-tree
         intervals) agrees with ``ProgramPoint.dominates`` for every pair —
-        including a block no path reaches and a variable nobody defines."""
+        including a block no path reaches and a variable nobody defines —
+        and ``order_key_and_row`` returns the same rows with the ≺ keys."""
         from repro.ir.builder import FunctionBuilder
 
         fb = FunctionBuilder("with_dead_block", params=("p",))
@@ -279,6 +280,16 @@ class TestIntersection:
                         and def_x.dominates(def_y, oracle.domtree)
                     )
                     assert row_dominates(x, y) == expected, (function.name, x, y)
+
+            # ``order_key_and_row`` gives the same key and row from one
+            # lookup, and counts each variable's key once.
+            fresh = IntersectionOracle(function, oracle.liveness)
+            for var in variables:
+                assert fresh.order_key_and_row(var) == (
+                    oracle.dominance_order_key(var), rows[var]
+                ), (function.name, var)
+            fresh.order_key_and_row(variables[0])
+            assert fresh.order_key_computations == len(variables)
 
     def test_query_counter(self):
         function = loop_function()

@@ -1,6 +1,7 @@
 """Tests for the pass pipeline, the analysis cache and the batch session."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.interference.congruence import CongruenceClasses
 from repro.interference.graph import InterferenceGraph, MatrixInterference
 from repro.interp import run_function
 from repro.ir import format_function
+from repro.ir.function import Function
+from repro.ir.positions import DefUseIndex
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
 from repro.liveness.intersection import IntersectionOracle
@@ -111,7 +114,7 @@ def legacy_destruct_ssa(function, config):
                 function, classes, test, run_stats.remaining_affinities
             )
 
-        rename_map = build_rename_map(function, classes)
+        rename_map = build_rename_map(classes)
         shared_destinations = {
             affinity.dst for affinity in run_stats.remaining_affinities if affinity.shared
         }
@@ -278,6 +281,23 @@ class TestAnalysisCache:
         frequencies = BlockFrequencies({label: 1.0 for label in function.blocks})
         cache.put(BlockFrequencies, frequencies)
         assert cache.get(BlockFrequencies) is frequencies
+
+
+class TestOneDefUseWalk:
+    """Every consumer of def/use positions in a translation reads the cache's
+    one :class:`DefUseIndex`; nothing walks ``Function.variables`` again."""
+
+    @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
+    def test_one_index_per_translation_and_no_variables_walk(self, config):
+        programs = [figure2_branch_with_decrement()] + generated_programs(count=2, size=30)
+        for function in programs:
+            cache = AnalysisCache(function, config)
+            walked = mock.patch.object(
+                Function, "variables", side_effect=AssertionError("Function.variables walked")
+            )
+            with walked:
+                Pipeline.for_engine(config).run(function, cache=cache)
+            assert cache.constructions[DefUseIndex] == 1
 
 
 class TestInvalidationDuringRuns:
