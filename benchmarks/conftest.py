@@ -7,8 +7,9 @@ benchmark run finishes in a couple of minutes; raising the scale grows every
 generated function and the number of functions per benchmark.
 
 Every ``test_figure*`` module also writes the regenerated table to
-``benchmarks/results/`` so the numbers quoted in EXPERIMENTS.md can be
-reproduced with a single ``pytest benchmarks/ --benchmark-only`` run.
+``benchmarks/results/`` so the tables (see the Experiments section of
+README.md) can be reproduced with a single
+``pytest benchmarks/ --benchmark-only`` run.
 """
 
 import os

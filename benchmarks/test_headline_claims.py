@@ -22,7 +22,7 @@ def test_headline_summary(benchmark, small_suite, results_dir):
     )
 
     text = (
-        "Headline claims (synthetic suite, see EXPERIMENTS.md)\n"
+        "Headline claims (synthetic suite, see README.md, Experiments)\n"
         f"  speed-up vs Sreedhar III:          {summary.speedup_vs_sreedhar:.2f}x  (paper: ~2x)\n"
         f"  memory reduction vs Sreedhar III:  {summary.memory_reduction_vs_sreedhar:.1f}x  (paper: ~10x)\n"
         f"  remaining copies (Value / Sreedhar III): {summary.copies_ratio_vs_sreedhar:.3f}  (paper: comparable or better)\n"

@@ -2,7 +2,8 @@
 Correctness, Code Quality, and Efficiency" (Boissinot, Darte, Rastello,
 Dupont de Dinechin, Guillon — CGO 2009).
 
-The package is organised in small sub-packages (see README.md / DESIGN.md).
+The package is organised in small sub-packages (see README.md and
+docs/ARCHITECTURE.md).
 The whole SSA → out-of-SSA stack runs as a *pass pipeline* over a *shared
 analysis cache*:
 
@@ -13,11 +14,12 @@ analysis cache*:
   chains SSA construction, the conventionality-breaking optimizations and the
   paper's four out-of-SSA phases (isolation, interference, coalescing,
   materialization) as introspectable passes; each pass declares which analyses
-  (dominator tree, variable numbering, liveness, intersection, SSA values,
+  (dominator tree, def/use index, liveness, intersection, SSA values,
   block frequencies) it preserves and the
   :class:`~repro.pipeline.AnalysisCache` invalidates the rest, so one
-  :class:`~repro.liveness.numbering.VariableNumbering` instance backs both the
-  bit-set liveness rows and the interference bit-matrix of a run;
+  :class:`~repro.ir.positions.DefUseIndex` numbers the variables of a
+  translation for the bit-set liveness rows, the flat arena, the
+  interference matrix scan and the congruence classes alike;
 * configuring engines: the seven Figure 6/7 configurations in
   :data:`~repro.outofssa.config.ENGINE_CONFIGURATIONS`
   (:func:`~repro.outofssa.config.engine_by_name`), custom ones via the fluent

@@ -19,24 +19,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from repro.ir.function import Function
 from repro.ir.instructions import Variable
-from repro.ir.positions import definition_points
 from repro.interference.base import InterferenceOracle
 from repro.interference.congruence import CongruenceClasses
 from repro.coalescing.engine import Affinity
-from repro.ssa.values import ValueTable
-
-
-def _variables_by_value(function: Function, values: ValueTable) -> Dict[object, List[Variable]]:
-    groups: Dict[object, List[Variable]] = {}
-    for var in function.variables():
-        groups.setdefault(values.value(var), []).append(var)
-    return groups
 
 
 def apply_copy_sharing(
-    function: Function,
     classes: CongruenceClasses,
     test: InterferenceOracle,
     remaining: Iterable[Affinity],
@@ -47,14 +36,18 @@ def apply_copy_sharing(
     how many copies were removed.  Requires a value-based interference
     backend (``test.values`` must be available); any backend of the
     pluggable stack works, the sharing rule only needs the protocol surface.
+    The function's variables and their definition points are read from the
+    liveness oracle's :class:`~repro.ir.positions.DefUseIndex`.
     """
     values = test.values
     if values is None:
         return 0
-    oracle = test.oracle
-    liveness = oracle.liveness
-    by_value = _variables_by_value(function, values)
-    def_points = definition_points(function)
+    liveness = test.oracle.liveness
+    index = liveness.index
+    by_value: Dict[object, List[Variable]] = {}
+    for var in index.variables:
+        by_value.setdefault(values.value(var), []).append(var)
+    def_points = index.def_points
     removed = 0
 
     for affinity in remaining:

@@ -10,10 +10,9 @@ oracle stack.  This module gives interference the same treatment:
 :class:`InterferenceOracle`
     The protocol every backend implements: the pairwise test (``interferes``
     / ``same_value`` / ``intersects`` under one of the three
-    :class:`InterferenceKind` notions), the congruence-facing helpers
-    (``intersect``, ``dominance_order_key``) and the class-row
-    support surface the congruence layer uses to merge interference rows on
-    coalesces.
+    :class:`InterferenceKind` notions), the congruence-facing ``intersect``
+    helper and the class-row support surface the congruence layer uses to
+    merge interference rows on coalesces.
 
 :class:`QueryInterference`
     The ``query`` backend — the paper's contribution: no materialised graph,
@@ -57,8 +56,8 @@ class InterferenceOracle:
 
     Every backend is constructed over an
     :class:`~repro.liveness.intersection.IntersectionOracle` (which supplies
-    liveness, dominance and the ≺ order keys) plus the configured
-    :class:`InterferenceKind`; value-based interference additionally needs a
+    liveness, dominance, the ≺ order keys and the definition rows) plus the
+    configured :class:`InterferenceKind`; value-based interference additionally needs a
     :class:`~repro.ssa.values.ValueTable`.  The same code therefore runs
     whether liveness comes from data-flow sets or liveness checking, and the
     backends differ only in *where the verdict is stored*:
@@ -135,9 +134,6 @@ class InterferenceOracle:
     # -- congruence-facing helpers (delegated to the intersection oracle) ----------
     def intersect(self, a, b) -> bool:
         return self.oracle.intersect(a, b)
-
-    def dominance_order_key(self, var):
-        return self.oracle.dominance_order_key(var)
 
     # -- class-row support (matrix backends only) ----------------------------------
     def slot(self, var) -> Optional[int]:

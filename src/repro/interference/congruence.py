@@ -19,13 +19,14 @@ generalising the dominance-forest idea of Budimlić et al.:
   number of intersection queries linear (functions ``interference``,
   ``chain_intersect`` and ``update_equal_anc_out`` of the paper).
 
-All of that needs only int keys and id→id chains, so the classes run on a
-per-function *id table*: every variable gets a dense int id the first time the
-classes see it, and what the checks read per variable — its ≺ key, its
-definition row ``(block, index, dom-pre, dom-post)``, its SSA value, its
-matrix slot, its class and its ``equal_anc_in`` — is read once and stored
-under that id.  Both the linear check and a quadratic reference are provided;
-the test-suite verifies they agree on random programs.
+All of that needs only int keys and id→id chains, so the classes run on the
+translation's one variable numbering, the
+:class:`~repro.ir.positions.DefUseIndex` ids: the ≺ key and the definition
+row ``(block, index, dom-pre, dom-post)`` of an id come from the intersection
+oracle's tables, and its SSA value, matrix slot, class and ``equal_anc_in``
+are stored in lists indexed by the same id.  Both the linear check and a
+quadratic reference are provided; the test-suite verifies they agree on
+random programs.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class CongruenceClass:
     def __init__(
         self, ids: List[int], variables: List[Variable], register: Optional[str] = None
     ) -> None:
-        #: Member ids in ≺ order (indices into the owning table).
+        #: Member ids in ≺ order (:class:`~repro.ir.positions.DefUseIndex` ids).
         self.ids = ids
         #: Architectural register this class is pinned to (renaming constraints).
         self.register = register
@@ -84,20 +85,15 @@ class CongruenceClass:
 class CongruenceClasses:
     """All congruence classes of a function plus the class-vs-class checks.
 
-    Accepts either form of the interference stack:
+    Built over one :class:`~repro.interference.base.InterferenceOracle`
+    backend; the intersection oracle is taken from it (``test.oracle``).
 
-    * ``CongruenceClasses(backend)`` — one
-      :class:`~repro.interference.base.InterferenceOracle` backend; the
-      intersection oracle is taken from it (``backend.oracle``);
-    * ``CongruenceClasses(oracle, test)`` — the historical two-argument form
-      (an :class:`~repro.liveness.intersection.IntersectionOracle` plus a
-      pairwise test), kept for the existing call sites.
-
-    Classes live on an id table local to this object (``variables`` maps an
-    id back to its variable, ``class_by_id`` to its class); ids are handed out
-    by :meth:`ensure` and :meth:`make_class`, never by :meth:`find`.  Merges
-    are union by size: the larger class keeps its object and only the smaller
-    side's ids are re-pointed.
+    Classes live on the ids of the oracle's
+    :class:`~repro.ir.positions.DefUseIndex` (``index``): ``class_by_id``
+    maps an id to its class, ``None`` until :meth:`ensure` or
+    :meth:`make_class` first sees the variable (:meth:`find` never creates
+    one).  Merges are union by size: the larger class keeps its object and
+    only the smaller side's ids are re-pointed.
 
     On a matrix-backed test (``supports_class_rows``) the quadratic check
     answers each left member with one AND of its symmetric adjacency row
@@ -108,52 +104,56 @@ class CongruenceClasses:
     instead — ``class_row_checks`` counts how many sweeps that replaced.
     """
 
-    def __init__(
-        self,
-        oracle,
-        test=None,
-        use_linear_check: bool = True,
-    ) -> None:
-        if test is None:
-            if not isinstance(oracle, InterferenceOracle):
-                raise TypeError(
-                    "single-argument construction expects an InterferenceOracle "
-                    f"backend, not {type(oracle).__name__}"
-                )
-            self.test = oracle
-            self.oracle: IntersectionOracle = oracle.oracle
-        else:
-            self.oracle = oracle
-            self.test = test
+    def __init__(self, test: InterferenceOracle, *, use_linear_check: bool = True) -> None:
+        self.test = test
+        self.oracle: IntersectionOracle = test.oracle
+        #: The variable numbering every per-id table below is indexed by.
+        self.index = self.oracle.index
         self.use_linear_check = use_linear_check
-        kind = self.test.kind
+        kind = test.kind
         self._value_based = kind is InterferenceKind.VALUE
-        matrix = self.test.supports_class_rows
+        matrix = test.supports_class_rows
         #: Whether class-vs-class checks may be answered from merged matrix
         #: rows (matrix-backed test, no linear sweep configured).
         self._class_rows = not use_linear_check and matrix
         #: Slot -> symmetric adjacency row of a matrix-backed test.
-        self._adjacency: Optional[List[int]] = self.test.adjacency_rows() if matrix else None
+        self._adjacency: Optional[List[int]] = test.adjacency_rows() if matrix else None
         #: Whether the pairwise sweep may test ids on their definition rows
         #: (query backend under the intersection or value notion); otherwise
         #: it asks the test about the variables.
         self._row_pairs = not matrix and kind in (
             InterferenceKind.INTERSECT, InterferenceKind.VALUE
         )
-        self._values = self.test.values
-        self._value_ids: Dict[object, int] = {}
 
-        # -- the id table ----------------------------------------------------------
-        self._id_of: Dict[Variable, int] = {}
-        #: id -> variable.
-        self.variables: List[Variable] = []
-        #: id -> class.
-        self.class_by_id: List[CongruenceClass] = []
-        self._keys: List[tuple] = []                  #: id -> ≺ key
-        self._rows: List[tuple] = []                  #: id -> definition row
-        self._value_of: List[int] = []                #: id -> SSA value number
-        self._slots: List[int] = []                   #: id -> matrix slot (-1: none)
-        self._equal_anc_in: List[Optional[int]] = []  #: id -> ancestor id in class
+        # -- the per-id tables -----------------------------------------------------
+        variables = self.index.variables
+        size = len(variables)
+        self._variables = variables
+        self._ids = self.index.ids
+        #: id -> class (``None``: not seen yet).
+        self.class_by_id: List[Optional[CongruenceClass]] = [None] * size
+        self._keys = self.oracle.keys                 #: id -> ≺ key
+        self._rows = self.oracle.rows                 #: id -> definition row
+        #: id -> SSA value number (without a value table no two ids share one).
+        self._value_of: List[int]
+        values = test.values
+        if values is not None:
+            value_ids: Dict[object, int] = {}
+            self._value_of = [
+                value_ids.setdefault(values.value(var), len(value_ids)) for var in variables
+            ]
+        else:
+            self._value_of = [-1 - ident for ident in range(size)]
+        #: id -> matrix slot (-1: none).
+        self._slots = [-1] * size
+        if self._adjacency is not None:
+            slot_of = test.slot
+            for ident, var in enumerate(variables):
+                slot = slot_of(var)
+                if slot is not None:
+                    self._slots[ident] = slot
+        #: id -> equal intersecting ancestor id inside its class.
+        self._equal_anc_in: List[Optional[int]] = [None] * size
 
         #: Number of variable-to-variable interference queries issued by the
         #: class-vs-class checks (reported by the Figure 6 harness).
@@ -162,41 +162,13 @@ class CongruenceClasses:
         #: pairwise queries at all).
         self.class_row_checks = 0
 
-    # -- the id table --------------------------------------------------------------------
-    def _intern(self, var: Variable) -> int:
-        """The id of ``var``, allocating one (with no class yet) if needed."""
-        ident = self._id_of.get(var)
-        if ident is not None:
-            return ident
-        ident = len(self.variables)
-        self._id_of[var] = ident
-        self.variables.append(var)
-        self.class_by_id.append(None)  # type: ignore[arg-type]
-        key, row = self.oracle.order_key_and_row(var)
-        self._keys.append(key)
-        self._rows.append(row)
-        if self._values is not None:
-            value = self._values.value(var)
-            value_id = self._value_ids.get(value)
-            if value_id is None:
-                value_id = self._value_ids[value] = len(self._value_ids)
-            self._value_of.append(value_id)
-        else:
-            self._value_of.append(-1 - ident)  # no value table: no two share one
-        slot = self.test.slot(var) if self._adjacency is not None else None
-        self._slots.append(-1 if slot is None else slot)
-        self._equal_anc_in.append(None)
-        return ident
-
     # -- class management --------------------------------------------------------------
     def ensure(self, var: Variable) -> CongruenceClass:
         """Return the class of ``var``, creating a singleton if needed."""
-        ident = self._id_of.get(var)
-        if ident is None:
-            ident = self._intern(var)
+        ident = self._ids[var]
         cls = self.class_by_id[ident]
         if cls is None:
-            cls = CongruenceClass([ident], self.variables)
+            cls = CongruenceClass([ident], self._variables)
             self.class_by_id[ident] = cls
         return cls
 
@@ -205,25 +177,26 @@ class CongruenceClasses:
 
     def find(self, var: Variable) -> Optional[CongruenceClass]:
         """The class of ``var``, or ``None`` if the classes never saw it."""
-        ident = self._id_of.get(var)
+        ident = self._ids.get(var)
         return None if ident is None else self.class_by_id[ident]
 
     def same_class(self, a: Variable, b: Variable) -> bool:
         return self.ensure(a) is self.ensure(b)
 
     def classes(self) -> List[CongruenceClass]:
-        return list(dict.fromkeys(self.class_by_id))
+        return list(dict.fromkeys(cls for cls in self.class_by_id if cls is not None))
 
     def representative(self, var: Variable) -> Variable:
         """A canonical member of ``var``'s class (the ≺-smallest one)."""
         cls = self.ensure(var)
-        return self.variables[cls.ids[0]] if cls.ids else var
+        return self._variables[cls.ids[0]] if cls.ids else var
 
     def make_class(self, members: Iterable[Variable], register: Optional[str] = None) -> CongruenceClass:
         """Create one class containing ``members`` (assumed interference-free)."""
-        ids = [self._intern(var) for var in members]
+        var_ids = self._ids
+        ids = [var_ids[var] for var in members]
         ids.sort(key=self._keys.__getitem__)
-        cls = CongruenceClass(ids, self.variables, register=register)
+        cls = CongruenceClass(ids, self._variables, register=register)
         self._precompute_equal_anc_in(cls)
         class_by_id = self.class_by_id
         for ident in ids:
@@ -240,7 +213,7 @@ class CongruenceClasses:
 
     def _intersect(self, a: int, b: int) -> bool:
         """Live-range intersection of two ids (counted by the oracle)."""
-        variables = self.variables
+        variables = self._variables
         if a == b:
             return self.oracle.intersect(variables[a], variables[b])
         rows = self._rows
@@ -254,7 +227,7 @@ class CongruenceClasses:
         so the chains are empty, but we compute them exactly for safety.
         """
         value_of = self._value_of
-        has_values = self._values is not None
+        has_values = self.test.values is not None
         ids = cls.ids
         for i, member in enumerate(ids):
             ancestor: Optional[int] = None
@@ -310,8 +283,8 @@ class CongruenceClasses:
             return True
         skip: Set[Tuple[int, int]] = set()
         for a, b in skip_pairs:
-            id_a = self._id_of.get(a)
-            id_b = self._id_of.get(b)
+            id_a = self._ids.get(a)
+            id_b = self._ids.get(b)
             if id_a is not None and id_b is not None:
                 skip.add((id_a, id_b))
                 skip.add((id_b, id_a))
@@ -366,7 +339,7 @@ class CongruenceClasses:
         self, left: CongruenceClass, right: CongruenceClass, skip: Set[Tuple[int, int]]
     ) -> bool:
         """The pairwise sweep: every non-skipped pair, up to the first hit."""
-        variables = self.variables
+        variables = self._variables
         issued = 0
         hit = False
         if self._row_pairs:
@@ -422,7 +395,7 @@ class CongruenceClasses:
         if left.register and right.register and left.register != right.register:
             return True, {}
 
-        variables = self.variables
+        variables = self._variables
         rows = self._rows
         keys = self._keys
         value_of = self._value_of

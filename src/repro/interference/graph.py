@@ -4,11 +4,11 @@ This module holds the memory side of the pluggable interference stack:
 
 * :class:`InterferenceGraph` — the half bit-matrix representation the
   paper's "Sreedhar III" and plain "Us I"/"Us III" configurations use, over
-  an (extensible) universe of variables addressed through the shared
-  :class:`~repro.liveness.numbering.VariableNumbering`;
+  an (extensible) universe of variables, each with a dense matrix slot;
 * :func:`scan_interference_edges` — the one-backward-scan-per-block
   construction ("costly traversal of the program", §IV), run over the
-  :class:`~repro.ir.flat.FlatFunction` arena's int rows;
+  :class:`~repro.ir.flat.FlatFunction` arena's int rows, whose variable
+  ids are the :class:`~repro.ir.positions.DefUseIndex` ids;
 * :class:`MatrixInterference` — the ``matrix`` backend: the graph is built
   eagerly at construction and answers every in-universe pair; pairs outside
   the restricted universe fall back to the query path.
@@ -20,14 +20,13 @@ virtualized copies are materialized, exactly like in Method III.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.interference.base import InterferenceKind, QueryInterference
 from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
 from repro.ir.instructions import Variable
 from repro.liveness.bitsets import BitLivenessSets
-from repro.liveness.numbering import VariableNumbering
 from repro.utils.bitset import BitMatrix
 from repro.utils.instrument import current_tracker
 
@@ -35,16 +34,12 @@ from repro.utils.instrument import current_tracker
 class InterferenceGraph:
     """Half bit-matrix over an (extensible) universe of variables.
 
-    Variable identity comes from a
-    :class:`~repro.liveness.numbering.VariableNumbering` — the same dense,
-    append-only numbering the bit-set liveness backend uses — and an existing
-    numbering can be passed in (the pipeline shares one instance between the
-    liveness rows and this matrix, so it is built only once per run).  A
-    shared numbering covers variables outside the graph's restricted universe,
-    so matrix *rows* are addressed through a private dense slot table: the
-    matrix stays at the paper's ``candidates²/2`` bits regardless of how many
-    variables the shared numbering knows, and queries about non-universe
-    variables report "not in the graph" and fall back to the pairwise test.
+    Each universe variable gets a dense matrix *slot* in the order it was
+    added, so the matrix stays at the paper's ``candidates²/2`` bits however
+    many variables the function has; queries about non-universe variables
+    report "not in the graph" and fall back to the pairwise test.  The
+    backward scan (:func:`scan_interference_edges`) maps the arena's
+    variable ids to slots once per build.
 
     Next to the half matrix the graph keeps *symmetric* per-slot adjacency
     masks, so :meth:`adjacency_bits` (read by class-row coalescing) is O(1)
@@ -52,15 +47,10 @@ class InterferenceGraph:
     half matrix stays the authoritative store and the measured footprint.
     """
 
-    def __init__(
-        self,
-        universe: Iterable[Variable] = (),
-        numbering: Optional[VariableNumbering] = None,
-    ) -> None:
-        self._numbering = numbering if numbering is not None else VariableNumbering()
-        self._slot_of: dict = {}              #: numbering index -> dense matrix slot
-        self._slot_vars: List[Variable] = []  #: dense matrix slot -> variable
-        self._sym: List[int] = []             #: slot -> symmetric adjacency mask
+    def __init__(self, universe: Iterable[Variable] = ()) -> None:
+        self._slot_of: Dict[Variable, int] = {}  #: variable -> dense matrix slot
+        self._slot_vars: List[Variable] = []     #: dense matrix slot -> variable
+        self._sym: List[int] = []                #: slot -> symmetric adjacency mask
         self._matrix = BitMatrix()
         for var in universe:
             self.add_variable(var)
@@ -68,12 +58,11 @@ class InterferenceGraph:
     # -- universe management -------------------------------------------------------
     def add_variable(self, var: Variable) -> int:
         """Add ``var`` to the universe (idempotent); return its matrix slot."""
-        index = self._numbering.ensure(var)
-        slot = self._slot_of.get(index)
+        slot = self._slot_of.get(var)
         if slot is not None:        # already a member: single-lookup fast path
             return slot
         slot = len(self._slot_vars)
-        self._slot_of[index] = slot
+        self._slot_of[var] = slot
         self._slot_vars.append(var)
         self._sym.append(0)
         old_bytes = self._matrix.footprint_bytes()
@@ -83,21 +72,12 @@ class InterferenceGraph:
             tracker.resize("interference_graph", old_bytes, self._matrix.footprint_bytes())
         return slot
 
-    def _slot(self, var: Variable) -> Optional[int]:
-        index = self._numbering.get(var)
-        return self._slot_of.get(index) if index is not None else None
-
     def slot(self, var: Variable) -> Optional[int]:
         """Dense matrix slot of ``var``, or ``None`` for non-universe variables."""
-        return self._slot(var)
-
-    @property
-    def numbering(self) -> VariableNumbering:
-        """The (possibly shared) variable numbering providing identity."""
-        return self._numbering
+        return self._slot_of.get(var)
 
     def __contains__(self, var: Variable) -> bool:
-        return self._slot(var) is not None
+        return var in self._slot_of
 
     def variables(self) -> List[Variable]:
         return list(self._slot_vars)
@@ -116,14 +96,14 @@ class InterferenceGraph:
         self._sym[slot_b] |= 1 << slot_a
 
     def interferes(self, a: Variable, b: Variable) -> bool:
-        slot_a = self._slot(a)
-        slot_b = self._slot(b)
+        slot_a = self._slot_of.get(a)
+        slot_b = self._slot_of.get(b)
         if slot_a is None or slot_b is None or slot_a == slot_b:
             return False
         return self._matrix.test(slot_a, slot_b)
 
     def neighbours(self, var: Variable) -> List[Variable]:
-        slot = self._slot(var)
+        slot = self._slot_of.get(var)
         if slot is None:
             return []
         slot_vars = self._slot_vars
@@ -131,7 +111,7 @@ class InterferenceGraph:
 
     def adjacency_bits(self, var: Variable) -> int:
         """Symmetric adjacency row of ``var`` as a bit mask over matrix slots."""
-        slot = self._slot(var)
+        slot = self._slot_of.get(var)
         return self._sym[slot] if slot is not None else 0
 
     def adjacency_rows(self) -> List[int]:
@@ -162,7 +142,6 @@ class InterferenceGraph:
         function: Function,
         test,
         universe: Optional[Iterable[Variable]] = None,
-        numbering: Optional[VariableNumbering] = None,
     ) -> "InterferenceGraph":
         """Reference construction: test every pair of the universe.
 
@@ -170,7 +149,7 @@ class InterferenceGraph:
         construction the engines use.
         """
         candidates = list(universe) if universe is not None else function.variables()
-        graph = cls(candidates, numbering=numbering)
+        graph = cls(candidates)
         for i, a in enumerate(candidates):
             for b in candidates[i + 1:]:
                 if test.interferes(a, b):
@@ -183,7 +162,6 @@ class InterferenceGraph:
         function: Function,
         test,
         universe: Optional[Iterable[Variable]] = None,
-        numbering: Optional[VariableNumbering] = None,
         flat: Optional[FlatFunction] = None,
     ) -> "InterferenceGraph":
         """Build the graph by one backward scan per block ("costly traversal of
@@ -193,32 +171,31 @@ class InterferenceGraph:
 
         Requires ``test.oracle.liveness``; the universe defaults to all
         variables but the paper (and the driver) restrict it to the φ-related
-        and copy-related ones.  ``flat`` shares an arena lowered over
-        ``numbering`` (the analysis cache passes its generation-stamped
-        instance); when absent or stale, one is lowered privately.
+        and copy-related ones.  ``flat`` shares an arena lowered over the
+        liveness oracle's :class:`~repro.ir.positions.DefUseIndex` (the
+        analysis cache passes its generation-stamped instance); when absent
+        or stale, one is lowered privately.
         """
         candidates = list(universe) if universe is not None else function.variables()
-        graph = cls(candidates, numbering=numbering)
-        flat = FlatFunction.current(flat, function, graph.numbering)
+        graph = cls(candidates)
+        flat = FlatFunction.current(flat, function, test.oracle.liveness.index)
         scan_interference_edges(graph, flat, test, set(candidates))
         return graph
 
 
 def _live_out_rows(
-    flat: FlatFunction, liveness, in_universe: Set[Variable], universe_mask: int
+    flat: FlatFunction, liveness, members: List[Tuple[Variable, int]], universe_mask: int
 ) -> List[int]:
     """Per block id, the universe variables live at the block's end, as a
-    mask in the arena's numbering.
+    mask over the arena's variable ids.
 
-    Bit-set liveness over the arena's numbering hands its raw ``_bits_out``
+    Bit-set liveness over the arena's index hands its raw ``_bits_out``
     rows over directly; any other oracle is asked ``is_live_out`` once per
-    universe variable per block.
+    ``(universe variable, bit)`` member per block.
     """
-    if isinstance(liveness, BitLivenessSets) and liveness.numbering is flat.numbering:
+    if isinstance(liveness, BitLivenessSets) and liveness.index is flat.index:
         bits_out = liveness._bits_out
         return [bits_out[label] & universe_mask for label in flat.labels]
-    get = flat.numbering.get
-    members = [(var, 1 << get(var)) for var in in_universe]
     is_live_out = liveness.is_live_out
     rows = []
     for label in flat.labels:
@@ -245,22 +222,25 @@ def scan_interference_edges(
     per-variable same-value group mask, the CHAITIN exemption reads the
     arena's ``def_src`` column, and edges are written straight into the
     matrix and symmetric rows — no object in the inner loop.  ``flat`` must
-    be lowered over ``graph.numbering`` at the function's current generation.
+    be lowered at the function's current generation.  A universe variable
+    the function does not mention has no id and no edge.
     """
-    numbering = graph.numbering
-    size = len(numbering)
+    ids = flat.index.ids
+    size = len(flat.index.variables)
     kind = test.kind
 
+    members = [(var, 1 << ids[var]) for var in in_universe if var in ids]
     universe_mask = 0
-    get = numbering.get
-    for var in in_universe:
-        universe_mask |= 1 << get(var)
-    live_out = _live_out_rows(flat, test.oracle.liveness, in_universe, universe_mask)
+    for _, bit in members:
+        universe_mask |= bit
+    live_out = _live_out_rows(flat, test.oracle.liveness, members, universe_mask)
 
-    # Slot table: numbering id -> matrix slot (-1 when not in the graph).
+    # Slot table: variable id -> matrix slot (-1 when not in the graph).
     slot_of = [-1] * size
-    for index, slot in graph._slot_of.items():
-        slot_of[index] = slot
+    for var, slot in graph._slot_of.items():
+        ident = ids.get(var)
+        if ident is not None:
+            slot_of[ident] = slot
 
     # VALUE notion: one mask per universe variable of its same-value group
     # (itself included — which also covers the unconditional self-skip), so
@@ -268,7 +248,7 @@ def scan_interference_edges(
     value_skip: Optional[List[int]] = None
     if kind is InterferenceKind.VALUE:
         value_skip = [0] * size
-        variable = numbering.variable
+        variables = flat.index.variables
         value_of = test.values.value
         groups: dict = {}
         remaining = universe_mask
@@ -276,7 +256,7 @@ def scan_interference_edges(
             low = remaining & -remaining
             remaining ^= low
             index = low.bit_length() - 1
-            groups.setdefault(value_of(variable(index)), []).append(index)
+            groups.setdefault(value_of(variables[index]), []).append(index)
         for members in groups.values():
             group_mask = 0
             for index in members:
@@ -403,13 +383,10 @@ class MatrixInterference(QueryInterference):
         kind: InterferenceKind,
         values=None,
         universe: Optional[Iterable[Variable]] = None,
-        numbering: Optional[VariableNumbering] = None,
         flat: Optional[FlatFunction] = None,
     ) -> None:
         super().__init__(function, oracle, kind, values)
-        self.graph = InterferenceGraph.build(
-            function, self, universe=universe, numbering=numbering, flat=flat
-        )
+        self.graph = InterferenceGraph.build(function, self, universe=universe, flat=flat)
         #: Pairwise queries answered straight from the matrix.
         self.matrix_hits = 0
 

@@ -14,7 +14,7 @@ lookup plus attribute dereferences, so `FlatFunction` lowers the function
 * successor and predecessor edges are CSR tables (one offsets array, one
   flat ids array);
 * per-block instruction rows are spans into per-instruction tables: a use
-  mask (bit = `VariableNumbering` id), and a defs span into ``def_ids`` with
+  mask (bit = `DefUseIndex` variable id), and a defs span into ``def_ids`` with
   a parallel ``def_src`` column recording the copy source id of `Copy` /
   `ParallelCopy` destinations (``-1`` otherwise — that column is what the
   CHAITIN interference variant consults);
@@ -26,11 +26,11 @@ The arena is registered as a cached analysis (generation-stamped like every
 other entry in :class:`~repro.pipeline.analysis.AnalysisCache`); a pass that
 mutates the function drops it, and the next consumer lowers it afresh.
 
-Variable identity is shared, not duplicated: every id in the tables comes
-from the one :class:`~repro.liveness.numbering.VariableNumbering` the bit-set
-liveness rows and the interference bit-matrix already key on, so masks move
-between the arena, the liveness rows, and the matrix rows without any
-translation.  See ``docs/FLATIR.md`` for the full layout.
+Variable identity is shared, not duplicated: every id in the tables is a
+:class:`~repro.ir.positions.DefUseIndex` id, the one numbering the bit-set
+liveness rows, the interference matrix scan and the congruence classes also
+key on, so masks move between the arena, the liveness rows, and the matrix
+rows without any translation.  See ``docs/FLATIR.md`` for the full layout.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cfg.traversal import reverse_postorder
 from repro.ir.function import Function
 from repro.ir.instructions import Copy, ParallelCopy, Variable
-from repro.liveness.numbering import VariableNumbering
+from repro.ir.positions import DefUseIndex
 
 #: Per-block instruction segment: (use masks, per-row def counts, def ids,
 #: def source ids, defs mask, upward-exposed mask, φ-defs mask).
@@ -54,7 +54,7 @@ class FlatFunction:
 
     __slots__ = (
         "function",
-        "numbering",
+        "index",
         "labels",
         "ids",
         "entry",
@@ -79,49 +79,38 @@ class FlatFunction:
         "nbytes",
     )
 
-    def __init__(
-        self, function: Function, numbering: Optional[VariableNumbering] = None
-    ) -> None:
+    def __init__(self, function: Function, index: Optional[DefUseIndex] = None) -> None:
         began = time.perf_counter()
-        if numbering is None:
-            numbering = VariableNumbering.of_function(function)
-        #: The lowered function and the shared variable numbering.  The
-        #: numbering is *appended to* (``ensure``) while lowering, exactly as
-        #: the bit-set liveness constructor does, so ids agree with its rows.
+        #: The lowered function and the :class:`DefUseIndex` whose ids the
+        #: tables use (the analysis cache passes its shared index; without
+        #: one, the function is walked here).
         self.function = function
-        self.numbering = numbering
+        self.index = index if index is not None else DefUseIndex(function)
         self._build()
         self.lowering_seconds = time.perf_counter() - began
-
-    @classmethod
-    def lower(
-        cls, function: Function, numbering: Optional[VariableNumbering] = None
-    ) -> "FlatFunction":
-        """Lower ``function`` into a fresh arena (alias of the constructor)."""
-        return cls(function, numbering)
 
     @classmethod
     def current(
         cls,
         flat: Optional["FlatFunction"],
         function: Function,
-        numbering: VariableNumbering,
+        index: DefUseIndex,
     ) -> "FlatFunction":
-        """``flat`` when it is a lowering of ``function`` over ``numbering``
-        at the function's current generation, else a fresh lowering — the
-        rule every arena consumer handed a possibly stale arena follows."""
+        """``flat`` when it is a lowering of ``function`` over ``index`` at
+        the function's current generation, else a fresh lowering — the rule
+        every arena consumer handed a possibly stale arena follows."""
         if (
             flat is not None
             and flat.function is function
-            and flat.numbering is numbering
+            and flat.index is index
             and flat.generation == function.generation
         ):
             return flat
-        return cls(function, numbering)
+        return cls(function, index)
 
     # -- lowering -------------------------------------------------------------
     @staticmethod
-    def _lower_block(block, numbering: VariableNumbering) -> _Segment:
+    def _lower_block(block, ids: Dict[Variable, int]) -> _Segment:
         """Lower one block's instruction rows.
 
         φ rows come first (their arguments are edge uses, so their use mask
@@ -133,12 +122,8 @@ class FlatFunction:
 
         This is the hot loop of a lowering (one pass over every instruction
         of the function), so ``Copy`` / ``ParallelCopy`` operands are read
-        directly instead of through ``uses()``/``defs()`` list building, and
-        the numbering's index dict is consulted first — ``ensure`` only runs
-        on a genuinely new variable.
+        directly instead of through ``uses()``/``defs()`` list building.
         """
-        index_get = numbering._index.get
-        ensure = numbering.ensure
         use_masks: List[int] = []
         def_counts: List[int] = []
         def_ids: List[int] = []
@@ -151,10 +136,7 @@ class FlatFunction:
         upward = 0
         phi_defs = 0
         for phi in block.phis:
-            dst = phi.dst
-            index = index_get(dst)
-            if index is None:
-                index = ensure(dst)
+            index = ids[phi.dst]
             phi_defs |= 1 << index
             use_append(0)
             count_append(1)
@@ -165,18 +147,13 @@ class FlatFunction:
             if isinstance(instruction, Copy):
                 src = instruction.src
                 if isinstance(src, Variable):
-                    source = index_get(src)
-                    if source is None:
-                        source = ensure(src)
+                    source = ids[src]
                     use_mask = 1 << source
                     if not defs & use_mask:
                         upward |= use_mask
                 else:
                     source = -1
-                dst = instruction.dst
-                index = index_get(dst)
-                if index is None:
-                    index = ensure(dst)
+                index = ids[instruction.dst]
                 id_append(index)
                 src_append(source)
                 defs |= 1 << index
@@ -185,42 +162,26 @@ class FlatFunction:
                 pairs = instruction.pairs
                 for _, src in pairs:
                     if isinstance(src, Variable):
-                        index = index_get(src)
-                        if index is None:
-                            index = ensure(src)
-                        bit = 1 << index
+                        bit = 1 << ids[src]
                         use_mask |= bit
                         if not defs & bit:
                             upward |= bit
                 count = 0
                 for dst, src in pairs:
-                    index = index_get(dst)
-                    if index is None:
-                        index = ensure(dst)
-                    if isinstance(src, Variable):
-                        source = index_get(src)
-                        if source is None:
-                            source = ensure(src)
-                    else:
-                        source = -1
+                    index = ids[dst]
                     id_append(index)
-                    src_append(source)
+                    src_append(ids[src] if isinstance(src, Variable) else -1)
                     defs |= 1 << index
                     count += 1
             else:
                 for var in instruction.uses():
-                    index = index_get(var)
-                    if index is None:
-                        index = ensure(var)
-                    bit = 1 << index
+                    bit = 1 << ids[var]
                     use_mask |= bit
                     if not defs & bit:
                         upward |= bit
                 count = 0
                 for var in instruction.defs():
-                    index = index_get(var)
-                    if index is None:
-                        index = ensure(var)
+                    index = ids[var]
                     id_append(index)
                     src_append(-1)
                     defs |= 1 << index
@@ -241,7 +202,7 @@ class FlatFunction:
         """Build every table from the function."""
         function = self.function
         blocks = function.blocks
-        ensure = self.numbering.ensure
+        var_ids = self.index.ids
 
         # Block order: RPO-indexed ids (id == RPO position), unreachable
         # blocks appended in declaration order — the exact positions
@@ -257,7 +218,7 @@ class FlatFunction:
         )
         num_blocks = len(order)
         self.decl = array("l", (ids[label] for label in blocks))
-        self.params = array("l", (ensure(param) for param in function.params))
+        self.params = array("l", (var_ids[param] for param in function.params))
 
         # CFG edges as CSR: successors in terminator order; predecessors in
         # declaration order of the source block, duplicate edges preserved —
@@ -293,11 +254,10 @@ class FlatFunction:
         def_ids = array("l")
         def_src = array("l")
         lower_block = self._lower_block
-        numbering = self.numbering
         running = 0
         for label in order:
             uses, counts, dids, dsrc, defs, upward, phi_defs = lower_block(
-                blocks[label], numbering
+                blocks[label], var_ids
             )
             use_masks.extend(uses)
             for count in counts:
@@ -326,7 +286,7 @@ class FlatFunction:
                 for pred, arg in phi.args.items():
                     if isinstance(arg, Variable):
                         key = (pred, label)
-                        phi_edge[key] = phi_edge.get(key, 0) | 1 << ensure(arg)
+                        phi_edge[key] = phi_edge.get(key, 0) | 1 << var_ids[arg]
         self.phi_edge = phi_edge
         edge_phi = [0] * len(succ_ids)
         if phi_edge:

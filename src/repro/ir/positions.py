@@ -131,11 +131,6 @@ def definition_points(function: Function) -> Dict[Variable, ProgramPoint]:
     return points
 
 
-def definition_point(function: Function, var: Variable) -> Optional[ProgramPoint]:
-    """The definition point of ``var`` or None if it is never defined."""
-    return definition_points(function).get(var)
-
-
 def use_points(function: Function) -> Dict[Variable, List[ProgramPoint]]:
     """Map every variable to the list of program points where it is used.
 
@@ -168,10 +163,19 @@ class DefUseIndex:
     the blocks (schedule indices are computed inline, no
     :func:`block_schedule` lists), so the
     :class:`~repro.pipeline.analysis.AnalysisCache` can serve one instance to
-    the numbering, the liveness oracles and the SSA value table.
+    the flat arena, the liveness oracles, the intersection oracle, the
+    congruence classes and the SSA value table.
 
-    * ``variables`` — in exactly :meth:`Function.variables` order
-      (parameters, then each instruction's defs before its uses);
+    The index is also the translation's one variable numbering: a variable's
+    *id* is its position in ``variables``.  Bit ``i`` of a bit-set liveness
+    row, of an arena mask and of an interference-matrix scan, and entry ``i``
+    of the intersection oracle's definition rows and of the congruence
+    classes' tables, all mean ``variables[i]``.
+
+    * ``variables`` — in :meth:`Function.variables` order (parameters, then
+      each instruction's defs before its uses), followed by the pinned
+      variables no instruction mentions;
+    * ``ids`` — ``variable -> id``, the inverse of ``variables``;
     * ``def_points`` — as :func:`definition_points` (a
       :class:`ProgramPoint` carrying the defining instruction);
     * ``use_points`` — as :func:`use_points`, but each use is a plain
@@ -195,6 +199,10 @@ class DefUseIndex:
     >>> index = DefUseIndex(function)
     >>> index.variables == function.variables()
     True
+    >>> index.ids[Variable("k")], index.variables[3], len(index.variables)
+    (3, Variable('k'), 4)
+    >>> Variable("ghost") in index.ids    # not in the function
+    False
     >>> index.def_points[Variable("k")]
     ProgramPoint(loop, 2)
     >>> index.use_points[Variable("k")]    # the φ reads it on loop's edge
@@ -205,7 +213,7 @@ class DefUseIndex:
     {Variable('i')}
     """
 
-    __slots__ = ("variables", "def_points", "use_points", "last_use", "multiply_defined")
+    __slots__ = ("variables", "ids", "def_points", "use_points", "last_use", "multiply_defined")
 
     def __init__(self, function: Function) -> None:
         seen: Dict[Variable, None] = {}
@@ -270,7 +278,14 @@ class DefUseIndex:
                     if isinstance(arg, Variable):
                         use(arg, pred_label, edge_index(blocks[pred_label]))
 
+        # A pin can outlive the code it constrained (the optimizer deletes a
+        # dead pinned definition) or name a variable no instruction mentions;
+        # such a variable still joins its register's congruence class.
+        for var in function.pinned:
+            seen[var] = None
+
         self.variables: List[Variable] = list(seen)
+        self.ids: Dict[Variable, int] = dict(zip(seen, range(len(seen))))
         self.def_points = def_points
         self.use_points = use_points
         self.last_use = last_use

@@ -8,9 +8,9 @@ out-of-SSA translation:
   reference backend, kept as the semantic oracle the others are tested
   against);
 * :class:`~repro.liveness.bitsets.BitLivenessSets` — the same live-in /
-  live-out facts stored as :class:`~repro.utils.bitset.BitSet` rows over a
-  one-time variable numbering and solved with a reverse-postorder worklist
-  (the bit-set encoding whose footprint Figure 7 evaluates; the backend the
+  live-out facts stored as :class:`~repro.utils.bitset.BitSet` rows over the
+  :class:`~repro.ir.positions.DefUseIndex` variable ids and solved with a
+  reverse-postorder worklist (the bit-set encoding whose footprint Figure 7 evaluates; the backend the
   paper's set-based configurations — "Sreedhar III", plain "Us I"/"Us III" —
   now run on);
 * :class:`~repro.liveness.livecheck.LivenessChecker` — liveness *checking*
@@ -28,7 +28,6 @@ from repro.liveness.base import LivenessOracle
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
 from repro.liveness.livecheck import LivenessChecker
-from repro.liveness.numbering import VariableNumbering
 from repro.liveness.intersection import IntersectionOracle, live_ranges_intersect
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "LivenessSets",
     "BitLivenessSets",
     "LivenessChecker",
-    "VariableNumbering",
     "IntersectionOracle",
     "live_ranges_intersect",
 ]

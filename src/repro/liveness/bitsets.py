@@ -2,9 +2,10 @@
 
 This is the second data-flow liveness backend (selected with
 ``liveness="bitsets"``): semantically identical to
-:class:`~repro.liveness.dataflow.LivenessSets`, but variables are numbered
-once (:class:`~repro.liveness.numbering.VariableNumbering`, shared with the
-interference bit-matrix) and every live-in / live-out set is a
+:class:`~repro.liveness.dataflow.LivenessSets`, but bit ``i`` of a row is
+the variable with :class:`~repro.ir.positions.DefUseIndex` id ``i`` (the
+numbering the interference matrix scan shares) and every live-in / live-out
+set is a
 :class:`~repro.utils.bitset.BitSet` row, so the footprint is the closed-form
 ``ceil(#variables / 8) * #basicblocks * 2`` that Figure 7 evaluates — here it
 is also *measured*, through the allocation tracker.
@@ -36,7 +37,6 @@ from repro.ir.function import Function
 from repro.ir.instructions import Variable
 from repro.ir.positions import DefUseIndex
 from repro.liveness.base import LivenessOracle
-from repro.liveness.numbering import VariableNumbering
 from repro.utils.bitset import BitSet
 from repro.utils.instrument import record_allocation
 
@@ -50,27 +50,16 @@ class BitLivenessSets(LivenessOracle):
     def __init__(
         self,
         function: Function,
-        numbering: Optional[VariableNumbering] = None,
         flat: Optional[FlatFunction] = None,
         index: Optional[DefUseIndex] = None,
     ) -> None:
-        """``numbering`` lets one dense numbering be shared with the
-        interference bit-matrix: when given, the function's variables are
-        appended to it instead of numbering them into a private instance.
+        """``index`` shares the position maps and the variable ids (see
+        :class:`LivenessOracle`).
 
-        ``flat`` shares an arena (the analysis cache passes its
-        generation-stamped instance); when absent or stale, one is lowered
-        privately — the solver never mutates it.
-
-        ``index`` shares the position maps (see :class:`LivenessOracle`);
-        the variables numbered are the index's."""
+        ``flat`` shares an arena lowered over that index (the analysis cache
+        passes its generation-stamped instance); when absent or stale, one is
+        lowered privately — the solver never mutates it."""
         super().__init__(function, index)
-        if numbering is None:
-            numbering = VariableNumbering(self.index.variables)
-        else:
-            for var in self.index.variables:
-                numbering.ensure(var)
-        self.numbering = numbering
         self.live_in: Dict[str, BitSet] = {}
         self.live_out: Dict[str, BitSet] = {}
         #: Authoritative raw rows (int masks); ``live_in``/``live_out`` are
@@ -78,7 +67,7 @@ class BitLivenessSets(LivenessOracle):
         self._bits_in: Dict[str, int] = {}
         self._bits_out: Dict[str, int] = {}
         #: The arena the solve runs over.
-        self.flat = FlatFunction.current(flat, function, numbering)
+        self.flat = FlatFunction.current(flat, function, self.index)
         self._solve()
         self._record_footprint()
 
@@ -101,9 +90,7 @@ class BitLivenessSets(LivenessOracle):
             bytearray(b"\x01") * num_blocks,
         )
 
-        # The numbering may have grown while lowering (defensive: the index's
-        # variables already cover every def and use).
-        universe = len(self.numbering)
+        universe = len(self.index.variables)
         from_bits = BitSet.from_bits
         bits_in: Dict[str, int] = {}
         bits_out: Dict[str, int] = {}
@@ -167,22 +154,22 @@ class BitLivenessSets(LivenessOracle):
 
     # -- oracle interface -----------------------------------------------------
     def is_live_in(self, block_label: str, var: Variable) -> bool:
-        index = self.numbering.get(var)
-        return index is not None and index in self.live_in[block_label]
+        ident = self.index.ids.get(var)
+        return ident is not None and ident in self.live_in[block_label]
 
     def is_live_out(self, block_label: str, var: Variable) -> bool:
-        index = self.numbering.get(var)
-        return index is not None and index in self.live_out[block_label]
+        ident = self.index.ids.get(var)
+        return ident is not None and ident in self.live_out[block_label]
 
     def live_in_variables(self, block_label: str) -> Iterator[Variable]:
         """The live-in variables of a block (decoded from the bit row)."""
-        variable = self.numbering.variable
-        return (variable(index) for index in self.live_in[block_label])
+        variables = self.index.variables
+        return (variables[ident] for ident in self.live_in[block_label])
 
     def live_out_variables(self, block_label: str) -> Iterator[Variable]:
         """The live-out variables of a block (decoded from the bit row)."""
-        variable = self.numbering.variable
-        return (variable(index) for index in self.live_out[block_label])
+        variables = self.index.variables
+        return (variables[ident] for ident in self.live_out[block_label])
 
     # -- memory accounting ----------------------------------------------------
     def footprint_bytes(self) -> int:

@@ -12,7 +12,7 @@ path and differs only in the oracle it plugs in.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cfg.dominance import DominatorTree
 from repro.ir.function import Function
@@ -21,19 +21,20 @@ from repro.liveness.base import LivenessOracle
 from repro.liveness.dataflow import LivenessSets
 
 #: ``(block, index, dom-pre, dom-post)`` of a definition, see
-#: :meth:`IntersectionOracle.definition_row`.
+#: :attr:`IntersectionOracle.rows`.
 DefinitionRow = Tuple[Optional[str], int, int, int]
 
 
 class IntersectionOracle:
     """Dominance-based live-range intersection test with query counting.
 
-    Besides the pairwise :meth:`intersect` it serves the congruence layer's id
-    table: :meth:`dominance_order_key` (the ≺ key a class is sorted by) and
-    :meth:`definition_row` are read once per variable, both from one lookup
-    through :meth:`order_key_and_row`, and
-    :meth:`intersect_rows` answers a query on two such cached rows.  Every
-    query, through either entry point, advances ``query_count``.
+    Definition points are fixed while the oracle lives (the function is only
+    rewritten after coalescing), so what the congruence classes read per
+    variable — its ≺ key (:attr:`keys`) and its definition row
+    (:attr:`rows`) — is built once, as two lists indexed by the liveness
+    oracle's :class:`~repro.ir.positions.DefUseIndex` ids, in one pass over
+    the index.  :meth:`intersect_rows` answers a query on two such rows;
+    every query, through either entry point, advances ``query_count``.
     """
 
     def __init__(
@@ -44,19 +45,12 @@ class IntersectionOracle:
     ) -> None:
         self.function = function
         self.liveness = liveness
+        #: The numbering :attr:`keys` and :attr:`rows` are indexed by.
+        self.index = liveness.index
         self._domtree = domtree
         self.query_count = 0
-        # Definition points are fixed for the lifetime of the oracle (the
-        # function is only rewritten after coalescing), so the ≺ sort keys
-        # are memoized: each variable's key is computed exactly once
-        # (``order_key_computations`` counts the misses; a regression test
-        # pins it to the number of distinct variables).
-        self._order_keys: Dict[Variable, tuple] = {}
-        #: Fresh ≺-key computations (cache misses); never decremented.
-        self.order_key_computations = 0
-        # Stand-in dominator-tree numbers of the definitions outside the tree
-        # (unreachable blocks, undefined variables); see ``definition_row``.
-        self._outside: Dict[object, int] = {}
+        self._keys: Optional[List[tuple]] = None
+        self._rows: Optional[List[DefinitionRow]] = None
 
     @property
     def domtree(self) -> DominatorTree:
@@ -71,58 +65,81 @@ class IntersectionOracle:
             self._domtree = DominatorTree(self.function)
         return self._domtree
 
-    def definition_row(self, var: Variable) -> DefinitionRow:
-        """``(block, index, dom-pre, dom-post)`` of the definition of ``var``.
+    @property
+    def keys(self) -> List[tuple]:
+        """id -> ≺ key ``(dom-pre, index, name)``: the dominance pre-order of
+        the definitions that congruence classes are sorted by for the linear
+        interference test (§IV-B).  Names break the ties between variables
+        defined at one program point (φs of one block, the destinations of
+        one parallel copy); an undefined variable sorts first, a definition
+        in an unreachable block last."""
+        if self._keys is None:
+            self._build_tables()
+        return self._keys  # type: ignore[return-value]
+
+    @property
+    def rows(self) -> List[DefinitionRow]:
+        """id -> ``(block, index, dom-pre, dom-post)`` of the definition.
 
         The definition of ``a`` dominates that of ``b`` iff ``index_a <=
         index_b`` when their ``dom-pre`` numbers are equal (one block), and
-        iff ``pre_a <= pre_b and post_b <= post_a`` otherwise.  A definition in an
-        unreachable block gets a negative stand-in number of its own for both
-        (it dominates only within its block); an undefined variable gets one
-        of its own and block ``None`` (it dominates and intersects nothing).
+        iff ``pre_a <= pre_b and post_b <= post_a`` otherwise.  A definition
+        in an unreachable block gets a negative stand-in number of its own
+        block for both (it dominates only within its block); an undefined
+        variable gets one of its own and block ``None`` (it dominates and
+        intersects nothing).
         """
-        return self._row(var, self.liveness.def_points.get(var))
+        if self._rows is None:
+            self._build_tables()
+        return self._rows  # type: ignore[return-value]
 
-    def _row(self, var: Variable, point) -> DefinitionRow:
-        """:meth:`definition_row` of ``var`` defined at ``point``."""
-        if point is None:
-            outside = -1 - self._outside.setdefault(var, len(self._outside))
-            return (None, 0, outside, outside)
-        interval = self.domtree.interval(point.block)
-        if interval is None:
-            outside = -1 - self._outside.setdefault(point.block, len(self._outside))
-            return (point.block, point.index, outside, outside)
-        return (point.block, point.index, interval[0], interval[1])
-
-    def order_key_and_row(self, var: Variable) -> Tuple[tuple, DefinitionRow]:
-        """:meth:`dominance_order_key` and :meth:`definition_row` of ``var``
-        from one lookup of its definition point (the congruence id table
-        reads both when it interns a variable).  The key is memoized and
-        counted exactly as :meth:`dominance_order_key` does."""
-        point = self.liveness.def_points.get(var)
-        row = self._row(var, point)
-        key = self._order_keys.get(var)
-        if key is None:
-            self.order_key_computations += 1
+    def _build_tables(self) -> None:
+        """:attr:`keys` and :attr:`rows` of every variable of the index."""
+        index = self.index
+        def_points = index.def_points
+        domtree = self.domtree
+        interval = domtree.interval
+        outside: Dict[object, int] = {}
+        keys: List[tuple] = []
+        rows: List[DefinitionRow] = []
+        for var in index.variables:
+            point = def_points.get(var)
             if point is None:
-                key = (-1, -1, var.name)
+                stand_in = -1 - outside.setdefault(var, len(outside))
+                keys.append((-1, -1, var.name))
+                rows.append((None, 0, stand_in, stand_in))
+                continue
+            block = point.block
+            numbers = interval(block)
+            if numbers is None:
+                stand_in = -1 - outside.setdefault(block, len(outside))
+                keys.append((domtree.preorder_index(block), point.index, var.name))
+                rows.append((block, point.index, stand_in, stand_in))
             else:
-                key = (self.domtree.preorder_index(point.block), point.index, var.name)
-            self._order_keys[var] = key
-        return key, row
+                keys.append((numbers[0], point.index, var.name))
+                rows.append((block, point.index, numbers[0], numbers[1]))
+        self._keys = keys
+        self._rows = rows
 
     def intersect(self, a: Variable, b: Variable) -> bool:
         """Do the live ranges of ``a`` and ``b`` intersect?"""
         if a == b:
             self.query_count += 1
             return True
-        return self.intersect_rows(a, self.definition_row(a), b, self.definition_row(b))
+        ids = self.index.ids
+        id_a = ids.get(a)
+        id_b = ids.get(b)
+        if id_a is None or id_b is None:
+            self.query_count += 1   # a variable the function never mentions
+            return False
+        rows = self.rows
+        return self.intersect_rows(a, rows[id_a], b, rows[id_b])
 
     def intersect_rows(
         self, a: Variable, row_a: DefinitionRow, b: Variable, row_b: DefinitionRow
     ) -> bool:
         """:meth:`intersect` for two distinct variables, given their
-        :meth:`definition_row` s."""
+        :attr:`rows`."""
         self.query_count += 1
         block_a, index_a, pre_a, post_a = row_a
         block_b, index_b, pre_b, post_b = row_b
@@ -141,18 +158,6 @@ class IntersectionOracle:
         if b_dominates and self.liveness.is_live_after(block_a, index_a, b):
             return True
         return False
-
-    def dominance_order_key(self, var: Variable):
-        """Sort key placing variables in dominance pre-order of their definitions.
-
-        This is the order ≺ used to keep congruence classes sorted for the
-        linear interference test (§IV-B).  Memoized, so each variable's
-        definition point is located once.
-        """
-        key = self._order_keys.get(var)
-        if key is None:
-            key = self.order_key_and_row(var)[0]
-        return key
 
 
 def live_ranges_intersect(function: Function, a: Variable, b: Variable) -> bool:

@@ -4,10 +4,10 @@ This plays the role of the fast liveness checking of Boissinot et al.
 (CGO'08), reference [16] of the paper: answer "is variable ``v`` live at this
 program point?" without ever building per-block live-in/live-out sets.
 
-Substitution note (see DESIGN.md): instead of the original's loop-nesting
-reachability sets, queries are answered by exact per-variable backward walks
-from the uses towards the definition, cached per variable the first time the
-variable is queried.  The checker precomputes nothing over the CFG.  The
+Substitution note (see docs/LIVENESS.md, "`check`"): instead of the
+original's loop-nesting reachability sets, queries are answered by exact
+per-variable backward walks from the uses towards the definition, cached per
+variable the first time the variable is queried.  The checker precomputes nothing over the CFG.  The
 Figure 7 memory charge of the "LiveCheck" configurations is the paper's
 closed-form model of the CGO'08 sets (two bit-sets of #blocks bits per
 block, see :meth:`LivenessChecker.footprint_bytes`), not a structure this

@@ -8,8 +8,8 @@ test) handles the remaining copies, and the implementation carries both an
 explicit interference bit-matrix and data-flow liveness sets — the two
 structures responsible for most of the memory footprint in Figure 7.
 
-Reproduction note: as described in DESIGN.md, the φ-copies are inserted
-eagerly and coalesced rather than virtually deferred; the resulting copy
+Reproduction note: the φ-copies are inserted eagerly (Method I isolation)
+and coalesced rather than virtually deferred; the resulting copy
 placements, interference decisions and data-structure footprints match the
 Method III behaviour, which is what Figures 5-7 compare.
 """

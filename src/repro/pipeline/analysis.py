@@ -1,10 +1,11 @@
 """The shared analysis layer of the pass pipeline.
 
 The out-of-SSA phases consume a small, fixed family of analyses — dominator
-tree, the def/use index (one walk of the function), dense variable
-numbering, a liveness oracle, live-range intersection, SSA values, block
-frequencies.  The legacy driver constructed all of them privately per run;
-the :class:`AnalysisCache` gives them ownership semantics:
+tree, the def/use index (one walk of the function, and the translation's
+variable numbering), the flat arena, a liveness oracle, live-range
+intersection, SSA values, block frequencies.  The original monolithic
+``destruct_ssa`` constructed all of them privately per run; the
+:class:`AnalysisCache` gives them ownership semantics:
 
 * analyses are keyed by their *type* and built lazily on :meth:`get`;
 * builders may request other analyses, and those requests are recorded as
@@ -15,18 +16,18 @@ the :class:`AnalysisCache` gives them ownership semantics:
   :meth:`invalidate_all` with that preserve-set after each pass, so a stale
   analysis is never served.
 
-Sharing falls out of the keying: the bit-set liveness rows and the
-interference bit-matrix both request :class:`~repro.liveness.numbering.VariableNumbering`
-from the cache and therefore index their bits identically — one numbering
-instance per engine run, the ROADMAP follow-up.  Likewise the numbering, the
-liveness oracles and the value table all read one
-:class:`~repro.ir.positions.DefUseIndex`, so the function is walked for its
-definitions and uses once per translation.
+Sharing falls out of the keying: the flat arena, the liveness oracles, the
+value table and (through the intersection oracle) the interference matrix
+scan and the congruence classes all read one
+:class:`~repro.ir.positions.DefUseIndex` from the cache, so the function is
+walked for its definitions and uses once per translation, and a variable's
+id — its position in ``index.variables`` — means the same thing in a bit-set
+liveness row, an arena mask, the matrix scan and the classes' tables.
 
 A worked example — build, share, mutate, get caught:
 
 >>> from repro.ir.parser import parse_function
->>> from repro.liveness.numbering import VariableNumbering
+>>> from repro.ir.positions import DefUseIndex
 >>> from repro.pipeline.analysis import AnalysisCache, StaleAnalysisError
 >>> function = parse_function('''
 ... function double(a) {
@@ -37,27 +38,27 @@ A worked example — build, share, mutate, get caught:
 ...     ret b
 ... }''')
 >>> cache = AnalysisCache(function)
->>> numbering = cache.get(VariableNumbering)      # built lazily...
->>> cache.get(VariableNumbering) is numbering     # ...then served cached
+>>> index = cache.get(DefUseIndex)      # built lazily...
+>>> cache.get(DefUseIndex) is index     # ...then served cached
 True
->>> cache.constructions[VariableNumbering]
-1
+>>> cache.constructions[DefUseIndex], index.ids
+(1, {Variable('a'): 0, Variable('b'): 1})
 
 Every analysis is stamped with the function's structural *generation*; a CFG
 mutation nobody declared turns the next ``get`` into a loud error instead of
 a silently-stale serve:
 
 >>> _ = function.split_edge("entry", "done")      # mutation, no invalidation
->>> cache.get(VariableNumbering)  # doctest: +ELLIPSIS
+>>> cache.get(DefUseIndex)  # doctest: +ELLIPSIS
 Traceback (most recent call last):
     ...
-repro.pipeline.analysis.StaleAnalysisError: VariableNumbering was computed at CFG generation ... a pass mutated the CFG without declaring an invalidation ...
+repro.pipeline.analysis.StaleAnalysisError: DefUseIndex was computed at CFG generation ... a pass mutated the CFG without declaring an invalidation ...
 
 Passes declare what survives; preserving *vouches* (re-stamps) and anything
 else is dropped and lazily rebuilt:
 
->>> cache.preserve(VariableNumbering)             # "still valid, I promise"
->>> cache.get(VariableNumbering) is numbering
+>>> cache.preserve(DefUseIndex)             # "still valid, I promise"
+>>> cache.get(DefUseIndex) is index
 True
 """
 
@@ -78,7 +79,6 @@ from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
 from repro.liveness.intersection import IntersectionOracle
 from repro.liveness.livecheck import LivenessChecker
-from repro.liveness.numbering import VariableNumbering
 from repro.outofssa.config import (
     DEFAULT_ENGINE,
     INTERFERENCE_BACKENDS,
@@ -145,9 +145,7 @@ def build_interference_backend(
     oracle = cache.get(IntersectionOracle)
     if backend_class is MatrixInterference:
         return MatrixInterference(
-            function, oracle, kind, values,
-            universe=universe, numbering=cache.get(VariableNumbering),
-            flat=cache.get(FlatFunction),
+            function, oracle, kind, values, universe=universe, flat=cache.get(FlatFunction)
         )
     return QueryInterference(function, oracle, kind, values)
 
@@ -157,16 +155,10 @@ AnalysisBuilder = Callable[["AnalysisCache"], object]
 _DEFAULT_BUILDERS: Dict[type, AnalysisBuilder] = {
     DominatorTree: lambda cache: DominatorTree(cache.function),
     DefUseIndex: lambda cache: DefUseIndex(cache.function),
-    VariableNumbering: lambda cache: VariableNumbering(cache.get(DefUseIndex).variables),
-    FlatFunction: lambda cache: FlatFunction(
-        cache.function, cache.get(VariableNumbering)
-    ),
+    FlatFunction: lambda cache: FlatFunction(cache.function, cache.get(DefUseIndex)),
     LivenessSets: lambda cache: LivenessSets(cache.function, cache.get(DefUseIndex)),
     BitLivenessSets: lambda cache: BitLivenessSets(
-        cache.function,
-        numbering=cache.get(VariableNumbering),
-        flat=cache.get(FlatFunction),
-        index=cache.get(DefUseIndex),
+        cache.function, flat=cache.get(FlatFunction), index=cache.get(DefUseIndex)
     ),
     LivenessChecker: lambda cache: LivenessChecker(cache.function, cache.get(DefUseIndex)),
     IntersectionOracle: lambda cache: IntersectionOracle(
@@ -202,7 +194,7 @@ class AnalysisCache:
         self._dependents: Dict[type, Set[type]] = {}
         self._build_stack: List[type] = []
         #: How many times each analysis type was constructed (introspection
-        #: and the one-numbering-per-run acceptance test).
+        #: and the one-numbering-per-translation test).
         self.constructions: Dict[type, int] = {}
 
     # -- registry ------------------------------------------------------------

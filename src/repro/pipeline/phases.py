@@ -10,7 +10,7 @@ split into pass objects over a shared :class:`~repro.pipeline.analysis.AnalysisC
    and the configured interference *backend* (``matrix`` / ``query``, see
    :mod:`repro.interference.base`), registered in the
    :class:`~repro.pipeline.analysis.AnalysisCache` over the run's restricted
-   candidate universe and sharing the liveness backend's variable numbering.
+   candidate universe and sharing the liveness backend's variable ids.
 3. :class:`CoalescingPass` — aggressive, weight-driven coalescing of all
    copy-related affinities (Figure 5 variants), optionally followed by the
    copy-sharing post-pass.
@@ -127,8 +127,8 @@ class InterferencePass(Pass):
 
         # The configured interference backend, registered in (and served from)
         # the analysis cache with the run's restricted candidate universe.
-        # One dense numbering per run: the same instance backs the bit-set
-        # liveness rows (when enabled) and the backend's half bit-matrix.
+        # One variable numbering per run: the DefUseIndex ids back the bit-set
+        # liveness rows (when enabled), the matrix scan and the classes.
         backend_class = INTERFERENCE_CLASSES[config.interference]
         cache.register(
             backend_class,
@@ -156,8 +156,8 @@ class CoalescingPass(Pass):
 
     def run(self, ctx) -> None:
         config = ctx.config
-        # The backend carries its own intersection oracle; the single-argument
-        # form wires both sides of the congruence machinery to it.
+        # The backend carries its own intersection oracle (and through it the
+        # translation's variable ids).
         classes = CongruenceClasses(ctx.test, use_linear_check=config.linear_class_check)
 
         # Pre-coalesce φ-nodes and register-pinned groups.
@@ -173,7 +173,7 @@ class CoalescingPass(Pass):
         ctx.stats.coalesced = run_stats.coalesced
         if ctx.variant.sharing:
             ctx.stats.shared = apply_copy_sharing(
-                ctx.function, classes, ctx.test, run_stats.remaining_affinities
+                classes, ctx.test, run_stats.remaining_affinities
             )
 
         ctx.classes = classes
@@ -241,10 +241,10 @@ def out_of_ssa_passes() -> List[Pass]:
 # --------------------------------------------------------------------------- materialization helpers
 def build_rename_map(classes: CongruenceClasses) -> Dict[Variable, Variable]:
     """Each coalesced variable -> its class's representative (the
-    ≺-smallest member), read off the classes' id table; variables the
+    ≺-smallest member), read off the classes' per-id table; variables the
     classes never saw keep their name."""
     mapping: Dict[Variable, Variable] = {}
-    variables = classes.variables
+    variables = classes.index.variables
     for var, cls in zip(variables, classes.class_by_id):
         if cls is not None:
             representative = variables[cls.ids[0]]

@@ -143,7 +143,7 @@ def check_ssa(
     dead code with genuine SSA violations.
     """
     from repro.cfg.dominance import DominatorTree  # local import: avoid package cycle
-    from repro.ir.positions import definition_point, use_points
+    from repro.ir.positions import DefUseIndex, ProgramPoint
 
     name = function.name
     found: List[Diagnostic] = []
@@ -166,15 +166,16 @@ def check_ssa(
     # Dominance property: each use is dominated by its definition.
     reachable = reachable_blocks(function)
     domtree = DominatorTree(function)
-    def_points = {var: definition_point(function, var) for var in sites}
+    index = DefUseIndex(function)
+    def_points = index.def_points
     unreachable_uses: Dict[str, List[Variable]] = {}
-    for var, uses in use_points(function).items():
+    for var, uses in index.use_points.items():
         if var in params:
             continue  # parameters are defined at the (virtual) function entry
-        unreachable_here = [use for use in uses if use.block not in reachable]
-        for use in unreachable_here:
-            unreachable_uses.setdefault(use.block, []).append(var)
-        uses = [use for use in uses if use.block in reachable]
+        for block, _ in uses:
+            if block not in reachable:
+                unreachable_uses.setdefault(block, []).append(var)
+        uses = [use for use in uses if use[0] in reachable]
         def_point = def_points.get(var)
         if def_point is None:
             if uses:
@@ -183,13 +184,14 @@ def check_ssa(
                     function=name, stage=stage,
                 ))
             continue
-        for use_point in uses:
+        for block, position in uses:
+            use_point = ProgramPoint(block, position)
             if not def_point.dominates(use_point, domtree):
                 found.append(diagnostic(
                     "V203",
                     f"use of {var} at {use_point} not dominated by its "
                     f"definition at {def_point}",
-                    function=name, block=use_point.block, stage=stage,
+                    function=name, block=block, stage=stage,
                 ))
     for label in sorted(unreachable_uses):
         variables = ", ".join(sorted(str(v) for v in set(unreachable_uses[label])))
@@ -242,7 +244,7 @@ def check_congruence_classes(
     * ``V402`` — a class's lazily maintained ``slot_mask``/``adj_mask`` rows
       (merged by ORs across coalesces) agree with a fresh recomputation from
       its members' matrix rows;
-    * ``V403`` — the classes partition the class table's ids: id lists are
+    * ``V403`` — the classes partition the ids they have seen: id lists are
       disjoint and every id's class actually contains it.
     """
     found: List[Diagnostic] = []
@@ -290,7 +292,7 @@ def check_congruence_classes(
                     function=name, stage=stage,
                 ))
 
-    variables = classes.variables
+    variables = classes.index.variables
     seen: Dict[int, int] = {}
     for index, cls in enumerate(all_classes):
         for ident in cls.ids:
@@ -302,7 +304,7 @@ def check_congruence_classes(
                 ))
             seen[ident] = index
     for ident, cls in enumerate(classes.class_by_id):
-        if ident not in cls.ids:
+        if cls is not None and ident not in cls.ids:
             found.append(diagnostic(
                 "V403",
                 f"variable {variables[ident]} maps to a class that does not contain it",

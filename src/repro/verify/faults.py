@@ -155,7 +155,7 @@ def _corrupt_class_mask(ctx) -> None:
 
 
 def _corrupt_partition(ctx) -> None:
-    """Put one id of the class table in two classes (V403)."""
+    """Put one variable id in two classes (V403)."""
     classes = ctx.classes
     all_classes = classes.classes()
     if len(all_classes) < 2:

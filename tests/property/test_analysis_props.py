@@ -66,8 +66,8 @@ def test_linear_class_check_equals_quadratic(seed, size, kind):
     insertion = insert_phi_copies(program)
     oracle = IntersectionOracle(program, LivenessSets(program))
     test = make_interference_test(program, oracle, kind)
-    linear = CongruenceClasses(oracle, test, use_linear_check=True)
-    quadratic = CongruenceClasses(oracle, test, use_linear_check=False)
+    linear = CongruenceClasses(test, use_linear_check=True)
+    quadratic = CongruenceClasses(test, use_linear_check=False)
     for members in insertion.phi_nodes:
         linear.make_class(members)
         quadratic.make_class(members)

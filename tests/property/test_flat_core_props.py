@@ -40,8 +40,8 @@ GALLERY = (
 
 def assert_roundtrip(function):
     flat = FlatFunction(function)
-    numbering = flat.numbering
-    index = numbering.index_of
+    assert flat.index.variables == function.variables()
+    index = flat.index.ids.__getitem__
 
     # Block order: RPO prefix, ids are positions, every block present once.
     assert sorted(flat.labels) == sorted(function.blocks)
@@ -81,7 +81,7 @@ def assert_roundtrip(function):
             assert list(def_src) == sources, (label, instruction)
 
     # Liveness transfer masks and φ-edge masks: exactly what the object
-    # graph yields over the same numbering.
+    # graph yields over the same ids.
     for label, block in function.blocks.items():
         assert flat.block_masks(label) == _object_block_masks(block, index), label
     assert flat.phi_edge == _object_phi_edge_masks(function, index)

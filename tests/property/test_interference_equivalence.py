@@ -32,7 +32,6 @@ from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
 from repro.liveness.intersection import IntersectionOracle
 from repro.liveness.livecheck import LivenessChecker
-from repro.liveness.numbering import VariableNumbering
 from repro.outofssa.config import ENGINE_CONFIGURATIONS, EngineConfig
 from repro.outofssa.method_i import insert_phi_copies
 from repro.pipeline import Pipeline
@@ -53,17 +52,16 @@ def _backends(function, kind, liveness="bitsets"):
         function, IntersectionOracle(function, LivenessSets(function), domtree),
         kind, values,
     )
-    # One numbering shared by the bit-set rows and the matrix, as the
-    # analysis cache shares it: the scan then reads the rows directly.
-    numbering = VariableNumbering.of_function(function)
+    # The matrix scan's arena is lowered over the liveness oracle's index,
+    # as the analysis cache shares it: over bit-set liveness the scan then
+    # reads the rows directly.
     oracle = {
-        "sets": lambda: LivenessSets(function),
-        "check": lambda: LivenessChecker(function),
-        "bitsets": lambda: BitLivenessSets(function, numbering=numbering),
-    }[liveness]()
+        "sets": LivenessSets,
+        "check": LivenessChecker,
+        "bitsets": BitLivenessSets,
+    }[liveness](function)
     matrix = MatrixInterference(
-        function, IntersectionOracle(function, oracle, domtree),
-        kind, values, numbering=numbering,
+        function, IntersectionOracle(function, oracle, domtree), kind, values
     )
     return {"query": query, "matrix": matrix}
 

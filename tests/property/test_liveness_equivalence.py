@@ -23,6 +23,7 @@ from repro.bench.suite import build_suite
 from repro.ir.flat import FlatFunction
 from repro.ir.instructions import Branch, Constant, Op, Return
 from repro.ir.parser import parse_function
+from repro.ir.positions import DefUseIndex
 from repro.ir.printer import format_function
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
@@ -88,13 +89,19 @@ def stress_function(seed, blocks, irreducible, loop_to_entry=False):
         CorpusSpec(seed=seed, blocks=blocks, loop_depth=3, variables=6, irreducible=irreducible)
     )
     if loop_to_entry:
-        tail = next(block for block in function if isinstance(block.terminator, Return))
-        value = tail.terminator.value
-        exit_block = function.add_block("exit")
-        exit_block.set_terminator(Return(value))
-        tail.set_terminator(Branch(value, function.entry_label, exit_block.label))
-        function.invalidate_cfg()
+        branch_back_to_entry(function)
     return function
+
+
+def branch_back_to_entry(function):
+    """Turn the return into a branch back to the entry (on the returned
+    value) and a new exit block: a CFG edit that adds no variable."""
+    tail = next(block for block in function if isinstance(block.terminator, Return))
+    value = tail.terminator.value
+    exit_block = function.add_block("exit")
+    exit_block.set_terminator(Return(value))
+    tail.set_terminator(Branch(value, function.entry_label, exit_block.label))
+    function.invalidate_cfg()
 
 
 def insert_zero_init_prologue(function):
@@ -161,14 +168,29 @@ def test_bitset_liveness_over_a_shared_or_stale_arena(seed, blocks, irreducible,
     stale tables."""
     function = stress_function(seed, blocks, irreducible)
     flat = FlatFunction(function)
-    shared = BitLivenessSets(function, numbering=flat.numbering, flat=flat)
+    shared = BitLivenessSets(function, flat=flat, index=flat.index)
     assert shared.flat is flat
     assert_same_liveness(function, shared)
 
     random_edit_batch(function, seed=batch_seed)
     assert flat.generation != function.generation
-    relowered = BitLivenessSets(function, numbering=flat.numbering, flat=flat)
+    relowered = BitLivenessSets(function, flat=flat)
     assert relowered.flat is not flat
+    assert relowered.flat.generation == function.generation
+    assert_same_liveness(function, relowered)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_bitset_liveness_relowers_an_arena_of_an_older_generation(seed):
+    """The index still matches after an edit that adds no variable; the
+    generation stamp alone tells the solve the arena's rows are stale."""
+    function = stress_function(seed, 40, 0.05)
+    flat = FlatFunction(function)
+    branch_back_to_entry(function)
+    assert DefUseIndex(function).variables == flat.index.variables
+    relowered = BitLivenessSets(function, flat=flat, index=flat.index)
+    assert relowered.flat is not flat
+    assert relowered.flat.index is flat.index
     assert relowered.flat.generation == function.generation
     assert_same_liveness(function, relowered)
 

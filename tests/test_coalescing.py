@@ -140,7 +140,7 @@ class TestCoalescerMechanics:
         # decides the winner: the inner-loop copy.
         oracle = IntersectionOracle(function, LivenessSets(function))
         test = make_interference_test(function, oracle, InterferenceKind.CHAITIN)
-        classes = CongruenceClasses(oracle, test, use_linear_check=False)
+        classes = CongruenceClasses(test, use_linear_check=False)
         affinities = collect_affinities(function)
         coalescer = AggressiveCoalescer(classes, ordering="global")
         stats = coalescer.run(affinities)
@@ -155,7 +155,7 @@ class TestCoalescerMechanics:
         function = straight_line_copies()
         oracle = IntersectionOracle(function, LivenessSets(function))
         test = make_interference_test(function, oracle, InterferenceKind.VALUE)
-        classes = CongruenceClasses(oracle, test)
+        classes = CongruenceClasses(test)
         with pytest.raises(ValueError):
             AggressiveCoalescer(classes, ordering="sideways")
 
@@ -181,7 +181,7 @@ class TestSharing:
         function = fb.finish()
         oracle = IntersectionOracle(function, LivenessSets(function))
         test = make_interference_test(function, oracle, InterferenceKind.VALUE)
-        classes = CongruenceClasses(oracle, test)
+        classes = CongruenceClasses(test)
 
         # "After some other coalescing": a's congruence class also contains
         # blocker, whose live range overlaps b and c with a different value.
@@ -191,7 +191,7 @@ class TestSharing:
         stats = coalescer.run(affinities)
         assert {x.dst.name for x in stats.remaining_affinities} == {"b", "c"}
 
-        removed = apply_copy_sharing(function, classes, test, stats.remaining_affinities)
+        removed = apply_copy_sharing(classes, test, stats.remaining_affinities)
         assert removed == 1
         b_affinity = next(x for x in stats.remaining_affinities if x.dst.name == "b")
         assert b_affinity.shared

@@ -19,7 +19,7 @@ def v(name: str) -> Variable:
 def build_classes(function, kind=InterferenceKind.VALUE, linear=True):
     oracle = IntersectionOracle(function, LivenessSets(function))
     test = make_interference_test(function, oracle, kind)
-    return CongruenceClasses(oracle, test, use_linear_check=linear)
+    return CongruenceClasses(test, use_linear_check=linear)
 
 
 class TestBasicClassManagement:
@@ -165,39 +165,67 @@ class TestInterferenceChecks:
         assert len(classes.classes()) == 2
 
 
-# --------------------------------------------------------------------------- ≺-key memoization
-class TestOrderKeyMemoization:
-    """The ≺ sort keys are memoized on the intersection oracle: however many
-    class merges re-compare variables, each key is computed exactly once (the
-    regression the ``order_key_computations`` counter pins down)."""
+# --------------------------------------------------------------------------- ids and ≺ keys
+TIES = """
+function ties(p, q) {
+  entry:
+    pcopy zb <- p, ya <- q
+    jump join
+  join:
+    z = phi [entry: zb]
+    y = phi [entry: ya]
+    print z
+    ret y
+}
+"""
 
-    def test_keys_computed_once_across_repeated_merges(self):
+
+class TestIndexIds:
+    """The classes live on the liveness oracle's DefUseIndex ids and read ≺
+    keys and definition rows from the intersection oracle's id-indexed
+    tables; there is no second numbering."""
+
+    def test_classes_use_the_index_ids_and_the_oracle_tables(self):
+        from repro.coalescing.engine import collect_affinities
+
         for function in generated_programs(count=2, size=30):
             function = function.copy()
             insertion = insert_phi_copies(function)
-            oracle = IntersectionOracle(function, LivenessSets(function))
-            test = make_interference_test(function, oracle, InterferenceKind.VALUE)
-            classes = CongruenceClasses(oracle, test, use_linear_check=True)
+            classes = build_classes(function)
+            oracle = classes.oracle
+            index = oracle.liveness.index
+            assert classes.index is index and oracle.index is index
+            keys = oracle.keys
+            assert oracle.keys is keys                 # built once per oracle
+            assert len(keys) == len(oracle.rows) == len(index.variables)
             for members in insertion.phi_nodes:
                 classes.make_class(members)
-            from repro.coalescing.engine import collect_affinities
-
             for affinity in collect_affinities(function, insertion):
                 classes.try_coalesce(affinity.dst, affinity.src)
-            touched = {
-                var
-                for cls in classes.classes()
-                for var in cls.members
-            }
-            # One computation per distinct variable the machinery ever sorted,
-            # no matter how many merges re-compared it.
-            assert oracle.order_key_computations <= len(oracle._order_keys)
-            assert set(oracle._order_keys) >= touched
-            before = oracle.order_key_computations
-            # Re-sorting everything again is pure cache hits.
+            assert len(classes.class_by_id) == len(index.variables)
             for cls in classes.classes():
-                sorted(cls.members, key=oracle.dominance_order_key)
-            assert oracle.order_key_computations == before
+                assert [index.variables[ident] for ident in cls.ids] == cls.members
+                assert cls.ids == sorted(cls.ids, key=keys.__getitem__)
+                for ident in cls.ids:
+                    assert classes.class_by_id[ident] is cls
+
+    def test_ties_at_one_program_point_follow_names(self):
+        """Variables defined at one program point (the destinations of one
+        parallel copy, the φs of one block) are ordered by name, whatever
+        their order in the index."""
+        from repro.ir.parser import parse_function
+        from repro.pipeline.phases import build_rename_map
+
+        function = parse_function(TIES)
+        classes = build_classes(function)
+        index = classes.index
+        for first, second in ((v("ya"), v("zb")), (v("y"), v("z"))):
+            assert index.def_points[first] == index.def_points[second]
+            assert index.ids[second] < index.ids[first]     # index order != name order
+            made = classes.make_class([second, first])
+            assert made.members == [first, second]
+            assert classes.representative(second) == first
+        assert build_rename_map(classes) == {v("zb"): v("ya"), v("z"): v("y")}
 
 
 # --------------------------------------------------------------------------- class rows
@@ -341,18 +369,41 @@ class TestSuiteCounterSums:
         "us_i_linear_intercheck_livecheck": (11350, 11362, 0, 964),
     }
 
+    #: engine: SHA-256 of the 65 translated functions' printed IR, concatenated
+    #: in suite order — the output must stay bit-identical, not just as long.
+    IR_SHA256 = {
+        "sreedhar_iii": "6871b7d8a294a5fce96b30f2fa5b17e48e4649b84735aee2cb77143f6b79b4e5",
+        "us_iii": "5f10411459860ccc68e4b0f490bac53b21767addf58b1030f5a6179ecb844835",
+        "us_iii_intercheck": "5f10411459860ccc68e4b0f490bac53b21767addf58b1030f5a6179ecb844835",
+        "us_iii_intercheck_livecheck":
+            "5f10411459860ccc68e4b0f490bac53b21767addf58b1030f5a6179ecb844835",
+        "us_iii_linear_intercheck_livecheck":
+            "5f10411459860ccc68e4b0f490bac53b21767addf58b1030f5a6179ecb844835",
+        "us_i": "d35f3e63a4e63ca895f20b398c7d87a3b8b444b9785a0eb33b0a6552ef462fde",
+        "us_i_linear_intercheck_livecheck":
+            "d35f3e63a4e63ca895f20b398c7d87a3b8b444b9785a0eb33b0a6552ef462fde",
+    }
+
     def test_per_engine_sums_are_pinned(self):
+        import hashlib
+
         from repro.bench.suite import build_suite
+        from repro.ir.printer import format_function
         from repro.pipeline import Pipeline
 
         functions = [f for group in build_suite(1.0).values() for f in group]
         assert len(functions) == 65
+        assert set(self.IR_SHA256) == set(self.PINNED)
         for engine, expected in self.PINNED.items():
             sums = [0, 0, 0, 0]
+            digest = hashlib.sha256()
             for function in functions:
-                stats = Pipeline.for_engine(engine).run(function.copy()).stats
+                translated = function.copy()
+                stats = Pipeline.for_engine(engine).run(translated).stats
                 sums[0] += stats.pair_queries
                 sums[1] += stats.intersection_queries
                 sums[2] += stats.class_row_checks
                 sums[3] += stats.remaining_copies
+                digest.update(format_function(translated).encode())
             assert tuple(sums) == expected, engine
+            assert digest.hexdigest() == self.IR_SHA256[engine], engine

@@ -5,10 +5,10 @@ import pytest
 
 from repro.bench.suite import build_suite
 from repro.ir.editlog import EditLog
+from repro.ir.flat import FlatFunction
 from repro.ir.instructions import Copy, Variable
 from repro.ir.positions import DefUseIndex
 from repro.liveness.bitsets import BitLivenessSets
-from repro.liveness.numbering import VariableNumbering
 from repro.outofssa.config import engine_by_name
 from repro.pipeline import Pipeline
 from repro.pipeline.analysis import AnalysisCache, StaleAnalysisError
@@ -55,29 +55,29 @@ class TestGenerationGuard:
     def test_preserve_vouches_and_restamps(self):
         function = diamond_function()
         cache = AnalysisCache(function)
-        numbering = cache.get(VariableNumbering)
+        index = cache.get(DefUseIndex)
         function.split_edge("entry", "left")
-        cache.preserve(VariableNumbering)
-        assert cache.get(VariableNumbering) is numbering
+        cache.preserve(DefUseIndex)
+        assert cache.get(DefUseIndex) is index
 
     def test_invalidate_clears_the_stamp(self):
         function = diamond_function()
         cache = AnalysisCache(function)
         cache.get(BitLivenessSets)
         function.split_edge("entry", "left")
-        cache.invalidate(BitLivenessSets, VariableNumbering, DefUseIndex)
+        cache.invalidate(BitLivenessSets, DefUseIndex)
         # A rebuild at the current generation serves cleanly.
         rebuilt = cache.get(BitLivenessSets)
         assert rebuilt is cache.get(BitLivenessSets)
 
     def test_rebuild_over_a_stale_def_use_index_raises(self):
-        # The liveness rows and the numbering are rebuilt, but the def/use
-        # index they read was computed before the edit and not invalidated.
+        # The liveness rows and the arena are rebuilt, but the def/use index
+        # they read was computed before the edit and not invalidated.
         function = diamond_function()
         cache = AnalysisCache(function)
         cache.get(BitLivenessSets)
         function.split_edge("entry", "left")
-        cache.invalidate(BitLivenessSets, VariableNumbering)
+        cache.invalidate(BitLivenessSets, FlatFunction)
         with pytest.raises(StaleAnalysisError, match="DefUseIndex"):
             cache.get(BitLivenessSets)
 

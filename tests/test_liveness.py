@@ -7,7 +7,7 @@ from repro.cfg.dominance import DominatorTree
 from repro.cfg.traversal import reverse_postorder
 from repro.ir.editlog import EditLog
 from repro.ir.instructions import Variable
-from repro.ir.positions import terminator_index
+from repro.ir.positions import DefUseIndex, terminator_index
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
 from repro.liveness.intersection import IntersectionOracle, live_ranges_intersect
@@ -121,32 +121,40 @@ class TestBitLivenessSets:
     def test_measured_footprint_realises_the_bitset_formula(self):
         function = loop_function()
         liveness = BitLivenessSets(function)
-        universe = len(liveness.numbering)
+        universe = len(liveness.index.variables)
         blocks = len(function.blocks)
         assert liveness.footprint_bytes() == ((universe + 7) // 8) * blocks * 2
         assert liveness.evaluated_bitset_footprint(universe) == liveness.footprint_bytes()
 
 
-class TestVariableNumbering:
-    def test_stable_dense_indices(self):
-        from repro.liveness.numbering import VariableNumbering
-
-        numbering = VariableNumbering([v("a"), v("b"), v("a")])
-        assert len(numbering) == 2
-        assert numbering.index_of(v("a")) == 0
-        assert numbering.ensure(v("c")) == 2          # append-only growth
-        assert numbering.ensure(v("b")) == 1          # idempotent
-        assert numbering.get(v("zz")) is None
-        assert numbering.variable(2) == v("c")
-        assert list(numbering) == [v("a"), v("b"), v("c")]
-
-    def test_of_function_covers_all_variables(self):
-        from repro.liveness.numbering import VariableNumbering
-
+class TestIndexNumbering:
+    def test_ids_are_positions_in_the_variables_list(self):
         function = loop_function()
-        numbering = VariableNumbering.of_function(function)
-        for var in function.variables():
-            assert var in numbering
+        index = DefUseIndex(function)
+        assert index.variables == function.variables()
+        assert len(index.ids) == len(index.variables)
+        for ident, var in enumerate(index.variables):
+            assert index.ids[var] == ident
+        assert v("zz") not in index.ids
+
+    def test_pinned_variables_no_instruction_mentions_come_last(self):
+        """A pin that names no instruction's variable (or outlived its
+        definition) still gets an id, after every mentioned variable."""
+        function = loop_function()
+        function.pin(v("ghost"), "r0")
+        function.pin(v("i1"), "r1")
+        index = DefUseIndex(function)
+        assert index.variables == function.variables() + [v("ghost")]
+        assert v("ghost") not in index.def_points
+        assert v("ghost") not in index.use_points
+
+    def test_bit_rows_decode_through_the_index(self):
+        function = loop_function()
+        liveness = BitLivenessSets(function)
+        for block in function.blocks:
+            for var in liveness.index.variables:
+                ident = liveness.index.ids[var]
+                assert (ident in liveness.live_out[block]) == liveness.is_live_out(block, var)
 
 
 class TestLivenessChecker:
@@ -218,20 +226,24 @@ class TestIntersection:
         assert oracle.intersect(v("a0"), v("b0"))
 
     def test_undefined_variable_does_not_intersect(self):
+        """A variable the function never mentions has no id: it intersects
+        nothing, and each such query is still counted."""
         function = loop_function()
         oracle = IntersectionOracle(function, LivenessSets(function))
+        assert v("nonexistent") not in oracle.index.ids
         assert not oracle.intersect(v("nonexistent"), v("i1"))
+        assert not oracle.intersect(v("i1"), v("nonexistent"))
+        assert oracle.query_count == 2
 
     def test_convenience_wrapper(self):
         function = figure4_lost_copy_problem()
         assert live_ranges_intersect(function, v("x2"), v("x3"))
 
-    def test_dominance_order_key_sorts_by_definition(self):
+    def test_order_keys_sort_by_definition(self):
         function = loop_function()
         oracle = IntersectionOracle(function, LivenessSets(function))
-        ordered = sorted(
-            [v("s2"), v("i0"), v("i1"), v("n")], key=oracle.dominance_order_key
-        )
+        keys, ids = oracle.keys, oracle.index.ids
+        ordered = sorted([v("s2"), v("i0"), v("i1"), v("n")], key=lambda var: keys[ids[var]])
         assert ordered[0] == v("n")          # parameter: defined before everything
         assert ordered[1] == v("i0")
         assert ordered[-1] == v("s2")
@@ -239,8 +251,9 @@ class TestIntersection:
     def test_definition_rows_decide_dominance_like_program_points(self):
         """The row test (one block: index order; else dominator-tree
         intervals) agrees with ``ProgramPoint.dominates`` for every pair —
-        including a block no path reaches and a variable nobody defines —
-        and ``order_key_and_row`` returns the same rows with the ≺ keys."""
+        including a block no path reaches, a variable nobody defines and
+        pinned variables no instruction mentions — and the ≺ keys order
+        every strictly dominating definition first."""
         from repro.ir.builder import FunctionBuilder
 
         fb = FunctionBuilder("with_dead_block", params=("p",))
@@ -251,6 +264,7 @@ class TestIntersection:
         with fb.at(dead):
             d = fb.const(2, name="d")
             e = fb.const(3, name="e")
+            fb.print("undefined")
             fb.jump(done)
         with fb.at(done):
             fb.print(a)
@@ -258,9 +272,14 @@ class TestIntersection:
         programs = [fb.finish(), loop_function(), figure4_lost_copy_problem()]
         programs += generated_programs(count=2, size=25)
         for function in programs:
+            function.pin(v("undefined0"), "r0")
+            function.pin(v("undefined1"), "r1")
             oracle = IntersectionOracle(function, LivenessSets(function))
-            variables = function.variables() + [v("undefined0"), v("undefined1")]
-            rows = {var: oracle.definition_row(var) for var in variables}
+            variables = oracle.index.variables
+            assert variables == function.variables() + [v("undefined0"), v("undefined1")]
+            assert len(oracle.rows) == len(oracle.keys) == len(variables)
+            rows = dict(zip(variables, oracle.rows))
+            keys = dict(zip(variables, oracle.keys))
 
             def row_dominates(x, y):
                 _, index_x, pre_x, post_x = rows[x]
@@ -280,16 +299,8 @@ class TestIntersection:
                         and def_x.dominates(def_y, oracle.domtree)
                     )
                     assert row_dominates(x, y) == expected, (function.name, x, y)
-
-            # ``order_key_and_row`` gives the same key and row from one
-            # lookup, and counts each variable's key once.
-            fresh = IntersectionOracle(function, oracle.liveness)
-            for var in variables:
-                assert fresh.order_key_and_row(var) == (
-                    oracle.dominance_order_key(var), rows[var]
-                ), (function.name, var)
-            fresh.order_key_and_row(variables[0])
-            assert fresh.order_key_computations == len(variables)
+                    if expected and def_x != def_y:
+                        assert keys[x] < keys[y], (function.name, x, y)
 
     def test_query_counter(self):
         function = loop_function()

@@ -16,13 +16,14 @@ from repro.interference.congruence import CongruenceClasses
 from repro.interference.graph import InterferenceGraph, MatrixInterference
 from repro.interp import run_function
 from repro.ir import format_function
+from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
+from repro.ir.parser import parse_function
 from repro.ir.positions import DefUseIndex
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
 from repro.liveness.intersection import IntersectionOracle
 from repro.liveness.livecheck import LivenessChecker
-from repro.liveness.numbering import VariableNumbering
 from repro.outofssa.config import DEFAULT_ENGINE, ENGINE_CONFIGURATIONS, EngineConfig, engine_by_name
 from repro.outofssa.driver import destruct_ssa
 from repro.outofssa.method_i import insert_phi_copies
@@ -42,6 +43,7 @@ from repro.pipeline.phases import (
     build_rename_map,
     candidate_universe,
     materialize,
+    out_of_ssa_passes,
 )
 from repro.ssa.values import ValueTable
 from repro.utils.instrument import AllocationTracker, track_allocations
@@ -52,7 +54,7 @@ from tests.helpers import generated_programs, loop_function, non_ssa_max_functio
 def legacy_destruct_ssa(function, config):
     """The seed's monolithic driver, re-inlined as the equivalence reference.
 
-    Private analyses per run, private numberings per structure — exactly what
+    Private analyses per run, each structure built by hand — exactly what
     ``destruct_ssa`` did before the pipeline split.  The pipeline must
     reproduce its output and statistics bit-for-bit.
     """
@@ -110,9 +112,7 @@ def legacy_destruct_ssa(function, config):
         run_stats = coalescer.run(affinities)
         stats.coalesced = run_stats.coalesced
         if variant.sharing:
-            stats.shared = apply_copy_sharing(
-                function, classes, test, run_stats.remaining_affinities
-            )
+            stats.shared = apply_copy_sharing(classes, test, run_stats.remaining_affinities)
 
         rename_map = build_rename_map(classes)
         shared_destinations = {
@@ -166,7 +166,12 @@ class TestPipelineMatchesLegacy:
         assert _stat_dict(wrapper_result.stats) == _stat_dict(pipeline_result.stats)
 
 
-class TestSharedNumbering:
+class TestOneNumbering:
+    """The cache's :class:`DefUseIndex` is the one variable numbering of a
+    translation: the liveness oracle, the intersection oracle's tables, the
+    flat arena, the matrix scan and the congruence classes all resolve a
+    variable to its index id."""
+
     #: Engines that enable both bit-set liveness and the interference graph.
     GRAPH_AND_BITSET_ENGINES = [
         config
@@ -178,56 +183,162 @@ class TestSharedNumbering:
         names = {config.name for config in self.GRAPH_AND_BITSET_ENGINES}
         assert names == {"sreedhar_iii", "us_iii", "us_i"}
 
-    @pytest.mark.parametrize("config", GRAPH_AND_BITSET_ENGINES, ids=lambda c: c.name)
-    def test_one_numbering_instance_per_engine_run(self, config, monkeypatch):
-        created = []
-        original_init = VariableNumbering.__init__
+    @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
+    def test_every_layer_resolves_a_variable_to_its_index_id(self, config):
+        for function in [figure2_branch_with_decrement(), loop_function()]:
+            cache = AnalysisCache(function, config)
+            ctx = PipelineContext(
+                function=function,
+                config=config,
+                analyses=cache,
+                stats=OutOfSSAStats(),
+                tracker=AllocationTracker(),
+                variant=variant_by_name(config.coalescing),
+            )
+            # Stop before materialization, which rewrites the function.
+            PassManager(out_of_ssa_passes()[:3]).run(ctx)
+            index = cache.get(DefUseIndex)
+            assert cache.constructions[DefUseIndex] == 1
+            assert cache.liveness().index is index
+            assert ctx.test.oracle.index is index
+            assert ctx.classes.index is index
+            ids = index.ids
+            for cls in ctx.classes.classes():
+                for ident, var in zip(cls.ids, cls.members):
+                    assert ids[var] == ident
+            for var in ctx.universe:
+                assert ctx.classes._slots[ids[var]] == (
+                    -1 if ctx.test.slot(var) is None else ctx.test.slot(var)
+                )
+            flat = cache.cached(FlatFunction)
+            # The arena backs the bit-set liveness solve and the matrix scan.
+            assert (flat is not None) == (
+                config.liveness == "bitsets" or config.interference == "matrix"
+            )
+            if flat is None:
+                continue
+            assert flat.index is index
+            for label, block in function.blocks.items():
+                rows = flat.instruction_rows(label)
+                instructions = list(block.phis) + list(block.instructions(include_phis=False))
+                assert [row[0] for row in rows] == [
+                    tuple(ids[var] for var in instruction.defs())
+                    for instruction in instructions
+                ]
 
-        def counting_init(self, items=()):
-            created.append(self)
-            original_init(self, items)
-
-        monkeypatch.setattr(VariableNumbering, "__init__", counting_init)
-        destruct_ssa(loop_function(), config)
-        assert len(created) == 1
-
-    def test_cache_shares_numbering_between_liveness_and_graph(self):
-        function = loop_function()
-        cache = AnalysisCache(function, engine_by_name("us_i"))
-        numbering = cache.get(VariableNumbering)
-        liveness = cache.get(BitLivenessSets)
-        assert liveness.numbering is numbering
-
-        test = QueryInterference(
-            function, cache.get(IntersectionOracle), variant_by_name("value").interference,
-            cache.get(ValueTable),
-        )
-        graph = InterferenceGraph.build(function, test, numbering=numbering)
-        assert graph.numbering is numbering
-
-    def test_graph_membership_is_not_the_shared_numbering(self):
-        """Universe-restricted graphs must answer 'not in graph' for numbered
-        non-members, so the pairwise fallback still runs for them."""
-        function = loop_function()
-        numbering = VariableNumbering.of_function(function)
-        variables = list(numbering)
+    def test_graph_membership_is_the_universe(self):
+        """Universe-restricted graphs must answer 'not in graph' for function
+        variables outside the universe, so the pairwise fallback still runs
+        for them."""
+        variables = loop_function().variables()
         member, outsider = variables[0], variables[-1]
-        graph = InterferenceGraph([member], numbering=numbering)
+        graph = InterferenceGraph([member])
         assert member in graph
         assert outsider not in graph
         assert graph.variables() == [member]
         assert len(graph) == 1
 
-    def test_shared_numbering_does_not_inflate_the_matrix(self):
-        """The matrix must stay at candidates²/2 bits even when the shared
-        numbering indexes every function variable (paper §IV's restricted
+    def test_restricted_universe_keeps_the_matrix_small(self):
+        """The matrix stays at candidates²/2 bits even though the arena it
+        scans numbers every function variable (paper §IV's restricted
         universe)."""
         function = loop_function()
-        numbering = VariableNumbering.of_function(function)
-        high_index_candidates = list(numbering)[-2:]
-        shared = InterferenceGraph(high_index_candidates, numbering=numbering)
-        private = InterferenceGraph(high_index_candidates)
-        assert shared.footprint_bytes() == private.footprint_bytes()
+        oracle = IntersectionOracle(function, BitLivenessSets(function))
+        high_id_candidates = oracle.index.variables[-2:]
+        backend = MatrixInterference(
+            function, oracle, variant_by_name("intersect").interference,
+            universe=high_id_candidates,
+        )
+        assert backend.matrix_bytes() == InterferenceGraph(high_id_candidates).footprint_bytes()
+
+
+class TestPinsOutsideTheCode:
+    """A pin may name a variable no instruction mentions: a typo'd or
+    stale ``pin`` line, or a pinned definition the optimizer deleted.  The
+    index numbers it after the mentioned variables, so it still joins its
+    register's congruence class; having no definition, it sorts first there
+    and becomes the class's representative."""
+
+    DIAMOND = """
+function f(a, b) {{
+{pins}
+  entry:
+    {entry}br a, l, r
+  l:
+    x1 = add a, b
+    jump j
+  r:
+    x2 = sub a, b
+    jump j
+  j:
+    x3 = phi [l: x1, r: x2]
+    ret x3
+}}
+"""
+    CASES = {
+        "pin_alone": (
+            dict(pins="  pin ghost r0", entry=""),
+            False,
+            """function f(a, b) {
+  pin ghost r0
+  entry:
+    br a, l, r
+  l:
+    x2 = add a, b
+    jump j
+  r:
+    x2 = sub a, b
+    jump j
+  j:
+    ret x2
+}""",
+        ),
+        "pin_shares_a_register": (
+            dict(pins="  pin ghost r0\n  pin x3 r0", entry=""),
+            False,
+            """function f(a, b) {
+  pin ghost r0
+  pin x3 r0
+  entry:
+    br a, l, r
+  l:
+    ghost = add a, b
+    jump j
+  r:
+    ghost = sub a, b
+    jump j
+  j:
+    ret ghost
+}""",
+        ),
+        "dead_pinned_definition": (
+            dict(pins="  pin d r1", entry="d = mul a, 7\n    "),
+            True,
+            """function f(a, b) {
+  pin d r1
+  entry:
+    br a, l, r
+  l:
+    x2 = add a, b
+    jump j
+  r:
+    x2 = sub a, b
+    jump j
+  j:
+    ret x2
+}""",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
+    def test_every_engine_translates_it(self, config, case):
+        fields, optimize, expected = self.CASES[case]
+        function = parse_function(self.DIAMOND.format(**fields))
+        Pipeline.for_engine(config, optimize=optimize).run(function)
+        assert format_function(function).strip() == expected
+        assert run_function(function, [1, 2]).return_value == 3
+        assert run_function(function, [0, 2]).return_value == -2
 
 
 class TestAnalysisCache:
