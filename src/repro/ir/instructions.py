@@ -19,38 +19,75 @@ Design notes
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 
 class Variable:
-    """An IR variable (virtual register).
+    """An IR variable (virtual register), interned by name.
 
-    Variables are compared by name: within one :class:`~repro.ir.function.Function`
-    names are unique, and name-based identity keeps the textual parser/printer
-    round-trip exact and test assertions readable.
+    ``Variable(name)`` returns the one live object for ``name``, so name
+    equality *is* object identity: ``==`` and hashing are the C-level
+    ``object`` defaults, and every Variable-keyed dict or set lookup runs
+    without a Python call.  Hashes follow object addresses, not names.
+    ``name`` is set once, when the object is made, and never reassigned.
     """
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "__weakref__")
 
-    def __init__(self, name: str) -> None:
+    name: str
+
+    def __new__(cls, name: str) -> "Variable":
+        ref = _INTERNED.get(name)
+        if ref is not None:
+            var = ref()
+            if var is not None:
+                return var
         if not name:
             raise ValueError("variable name must be non-empty")
-        self.name = name
-        # Variables are hashed on every liveness/interference/coalescing set
-        # operation; precomputing the hash keeps those paths cheap.
-        self._hash = hash(("var", name))
+        with _INTERN_LOCK:
+            ref = _INTERNED.get(name)
+            var = ref() if ref is not None else None
+            if var is None:
+                var = object.__new__(cls)
+                object.__setattr__(var, "name", name)
+                ref = _INTERNED[name] = _NameRef(var, _forget)
+                ref.name = name
+            return var
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Variable) and self.name == other.name
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise AttributeError(f"Variable {self.name!r} is immutable")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> Tuple[type, Tuple[str]]:
+        # copy, deepcopy and pickle go back through the intern table.
+        return (Variable, (self.name,))
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
 
     def __str__(self) -> str:
         return self.name
+
+
+class _NameRef(weakref.ref):
+    """A weak reference to an interned :class:`Variable` that remembers its name."""
+
+    __slots__ = ("name",)
+
+
+def _forget(ref: _NameRef) -> None:
+    """Drop a dead Variable's table entry, unless its name was interned anew."""
+    with _INTERN_LOCK:
+        if _INTERNED.get(ref.name) is ref:
+            del _INTERNED[ref.name]
+
+
+#: The intern table: name -> weak reference to the live Variable.  Reads take
+#: no lock; creation and removal do.  The lock is re-entrant because a garbage
+#: collection inside ``Variable.__new__`` can run ``_forget`` on that thread.
+_INTERNED: Dict[str, _NameRef] = {}
+_INTERN_LOCK = threading.RLock()
 
 
 class Constant:

@@ -24,7 +24,7 @@ Values are either variable names or integer literals.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -69,45 +69,31 @@ _ASSIGN_RE = re.compile(rf"^({_IDENT})\s*=\s*({_IDENT})\s*(.*)$")
 _INT_RE = re.compile(r"-?\d+")
 _IDENT_RE = re.compile(_IDENT)
 
-#: One parse's variables by name (local to a :func:`parse_function` call).
-Names = Dict[str, Variable]
-
-
-def _variable(name: str, function: Function, names: Names) -> Variable:
-    """The one :class:`Variable` named ``name`` in this parse, registered
-    with ``function`` the first time the name is seen."""
-    var = names.get(name)
-    if var is None:
-        var = names[name] = function.register_variable(Variable(name))
-    return var
-
-
-def _parse_value(token: str, function: Function, names: Names) -> Operand:
+def _parse_value(token: str, function: Function) -> Operand:
     token = token.strip()
     if _INT_RE.fullmatch(token):
         return Constant(int(token))
     if _IDENT_RE.fullmatch(token):
-        return _variable(token, function, names)
+        return function.register_variable(Variable(token))
     raise ValueError(f"bad operand {token!r}")
 
 
-def _parse_values(text: str, function: Function, names: Names) -> List[Operand]:
+def _parse_values(text: str, function: Function) -> List[Operand]:
     text = text.strip()
     if not text:
         return []
-    return [_parse_value(part, function, names) for part in text.split(",")]
+    return [_parse_value(part, function) for part in text.split(",")]
 
 
 def parse_function(text: str) -> Function:
     """Parse one function from ``text``.
 
-    Every occurrence of a name is the same :class:`Variable` object (one per
-    name per call), so the analyses' dict lookups hit on identity.
+    Every occurrence of a name is the same :class:`Variable` object, the one
+    the intern table holds for that name (see :class:`Variable`).
     """
     function: Optional[Function] = None
     current: Optional[BasicBlock] = None
     closed = False
-    names: Names = {}
 
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -125,7 +111,7 @@ def parse_function(text: str) -> Function:
             for param in params_text.split(","):
                 param = param.strip()
                 if param:
-                    function.params.append(_variable(param, function, names))
+                    function.params.append(function.register_variable(Variable(param)))
             continue
 
         if line == "}":
@@ -135,7 +121,7 @@ def parse_function(text: str) -> Function:
         pin_match = _PIN_RE.match(line)
         if pin_match:
             var_name, register = pin_match.groups()
-            function.pin(_variable(var_name, function, names), register)
+            function.pin(function.register_variable(Variable(var_name)), register)
             continue
 
         label_match = _LABEL_RE.match(line)
@@ -150,7 +136,7 @@ def parse_function(text: str) -> Function:
             raise ParseError("instruction outside of a block", line_number, raw_line)
 
         try:
-            _parse_instruction(line, function, current, names)
+            _parse_instruction(line, function, current)
         except ValueError as error:
             raise ParseError(str(error), line_number, raw_line) from error
 
@@ -162,7 +148,7 @@ def parse_function(text: str) -> Function:
     return function
 
 
-def _parse_instruction(line: str, function: Function, block: BasicBlock, names: Names) -> None:
+def _parse_instruction(line: str, function: Function, block: BasicBlock) -> None:
     # Assignment forms are matched *before* the keyword forms: a destination
     # variable is allowed to shadow a keyword ("print = add a, b" assigns to
     # a variable named "print"), and every assignment line carries an "=" no
@@ -172,32 +158,32 @@ def _parse_instruction(line: str, function: Function, block: BasicBlock, names: 
     call_match = _CALL_RE.match(line)
     if call_match:
         dst_name, callee, args_text = call_match.groups()
-        dst = _variable(dst_name, function, names) if dst_name else None
-        block.append(Call(dst, callee, _parse_values(args_text, function, names)))
+        dst = function.register_variable(Variable(dst_name)) if dst_name else None
+        block.append(Call(dst, callee, _parse_values(args_text, function)))
         return
 
     phi_match = _PHI_RE.match(line)
     if phi_match:
         dst_name, args_text = phi_match.groups()
-        phi = Phi(_variable(dst_name, function, names))
+        phi = Phi(function.register_variable(Variable(dst_name)))
         args_text = args_text.strip()
         if args_text:
             for part in args_text.split(","):
                 if ":" not in part:
                     raise ValueError(f"bad phi argument {part!r}")
                 label, value = part.split(":", 1)
-                phi.set_arg(label.strip(), _parse_value(value, function, names))
+                phi.set_arg(label.strip(), _parse_value(value, function))
         block.add_phi(phi)
         return
 
     assign_match = _ASSIGN_RE.match(line)
     if assign_match:
         dst_name, opcode, rest = assign_match.groups()
-        dst = _variable(dst_name, function, names)
+        dst = function.register_variable(Variable(dst_name))
         if opcode == "copy":
-            block.append(Copy(dst, _parse_value(rest, function, names)))
+            block.append(Copy(dst, _parse_value(rest, function)))
         else:
-            block.append(Op(dst, opcode, _parse_values(rest, function, names)))
+            block.append(Op(dst, opcode, _parse_values(rest, function)))
         return
 
     # Parallel copies (with optional placement annotation).
@@ -216,8 +202,8 @@ def _parse_instruction(line: str, function: Function, block: BasicBlock, names: 
                 if "<-" not in pair:
                     raise ValueError(f"bad parallel copy component {pair!r}")
                 dst_text, src_text = pair.split("<-")
-                dst = _variable(dst_text.strip(), function, names)
-                pcopy.add(dst, _parse_value(src_text, function, names))
+                dst = function.register_variable(Variable(dst_text.strip()))
+                pcopy.add(dst, _parse_value(src_text, function))
         if placement == "entry":
             block.entry_pcopy = pcopy
         elif placement == "exit":
@@ -227,7 +213,7 @@ def _parse_instruction(line: str, function: Function, block: BasicBlock, names: 
         return
 
     if line.startswith("print "):
-        block.append(Print(_parse_value(line[len("print "):], function, names)))
+        block.append(Print(_parse_value(line[len("print "):], function)))
         return
 
     if line.startswith("jump "):
@@ -238,14 +224,14 @@ def _parse_instruction(line: str, function: Function, block: BasicBlock, names: 
         parts = [part.strip() for part in line[len("br "):].split(",")]
         if len(parts) != 3:
             raise ValueError("br expects 'cond, label, label'")
-        block.set_terminator(Branch(_parse_value(parts[0], function, names), parts[1], parts[2]))
+        block.set_terminator(Branch(_parse_value(parts[0], function), parts[1], parts[2]))
         return
 
     if line.startswith("brdec "):
         parts = [part.strip() for part in line[len("brdec "):].split(",")]
         if len(parts) != 3:
             raise ValueError("brdec expects 'counter, label, label'")
-        counter = _parse_value(parts[0], function, names)
+        counter = _parse_value(parts[0], function)
         if not isinstance(counter, Variable):
             raise ValueError("brdec counter must be a variable")
         block.set_terminator(BrDec(counter, parts[1], parts[2]))
@@ -255,7 +241,7 @@ def _parse_instruction(line: str, function: Function, block: BasicBlock, names: 
         block.set_terminator(Return(None))
         return
     if line.startswith("ret "):
-        block.set_terminator(Return(_parse_value(line[len("ret "):], function, names)))
+        block.set_terminator(Return(_parse_value(line[len("ret "):], function)))
         return
 
     raise ValueError("unrecognised instruction")

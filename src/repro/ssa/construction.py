@@ -18,6 +18,12 @@ the entry block, so they change only the entry's live-in; that answer can
 reach a φ join only through a predecessor of the entry, so liveness is rebuilt
 only in that (ill-formed, V108) case.
 
+A pinned variable (a register constraint, ``function.pinned``) keeps its pin
+through renaming: the pin moves to the variable's one SSA version.  A pinned
+variable that gets several versions (several definitions, a φ, or a
+definition plus an implicit ``0`` initialisation) raises a located
+:class:`~repro.ir.validate.ValidationError` rather than losing its register.
+
 ``BrDec`` counters are left untouched (not renamed): the paper notes that such
 counters "must not be promoted to SSA"; they keep a single name and both use
 and define it in the terminator.
@@ -30,6 +36,7 @@ from typing import Dict, List, Optional, Set
 from repro.cfg.dominance import DominatorTree, dominance_frontiers, iterated_dominance_frontier
 from repro.ir.function import Function
 from repro.ir.instructions import BrDec, Constant, Op, Phi, Variable
+from repro.ir.validate import ValidationError
 from repro.liveness.bitsets import BitLivenessSets
 
 
@@ -99,11 +106,15 @@ def construct_ssa(function: Function) -> Function:
         for var, phi in block_phis.items():
             original_of[phi] = var
 
-    counter_names = {var.name for var in counters}
+    _check_pins(function, counters)
+    #: The one version of each renamed pinned variable.
+    pinned_version: Dict[Variable, Variable] = {}
 
     def new_version(var: Variable) -> Variable:
         fresh = function.new_variable(var.name)
         version_stacks.setdefault(var, []).append(fresh)
+        if var in function.pinned:
+            pinned_version[var] = fresh
         return fresh
 
     def current_version(var: Variable) -> Variable:
@@ -129,7 +140,7 @@ def construct_ssa(function: Function) -> Function:
         for instruction in block.body:
             instruction.replace_uses({var: current_version(var) for var in instruction.uses()})
             for var in list(instruction.defs()):
-                if var.name in counter_names:
+                if var in counters:
                     continue
                 fresh = new_version(var)
                 instruction.replace_defs({var: fresh})
@@ -154,4 +165,30 @@ def construct_ssa(function: Function) -> Function:
 
     rename_block(function.entry_label)  # type: ignore[arg-type]
     function.invalidate_cfg()
+    function.pinned = {
+        pinned_version.get(var, var): register for var, register in function.pinned.items()
+    }
     return function
+
+
+def _check_pins(function: Function, counters: Set[Variable]) -> None:
+    """Raise a located :class:`ValidationError` for a pinned variable that
+    renaming would split into several versions: its pin could follow only one.
+
+    Run after φ placement and zero-initialisation, before renaming, so every
+    future version is a definition of the variable (or the parameter itself).
+    """
+    for var, register in function.pinned.items():
+        if var in counters:
+            continue
+        sites = [function.entry_label] if var in function.params else []
+        for block in function:
+            for instruction in block.instructions():
+                if var in instruction.defs():
+                    sites.append(block.label)
+        if len(sites) > 1:
+            raise ValidationError(
+                f"{function.name}:{sites[1]}: pinned variable {var.name!r} (register {register}) "
+                f"would get {len(sites)} SSA versions (defined in {', '.join(sites)}); "
+                f"a register pin needs exactly one definition"
+            )

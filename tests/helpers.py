@@ -113,6 +113,15 @@ def generated_programs(count: int = 6, size: int = 35, abi_every: int = 3):
     return programs
 
 
+def variable_occurrences(function: Function) -> List:
+    """Every variable mention: parameters, pins, then each instruction's
+    defs and uses (φ arguments and parallel-copy pairs included)."""
+    occurrences = list(function.params) + list(function.pinned)
+    for instruction in function.instructions():
+        occurrences += instruction.defs() + instruction.uses()
+    return occurrences
+
+
 def observable(function: Function, args: Sequence[int]):
     """Interpret ``function`` and return its observable behaviour."""
     return run_function(function, args).observable()

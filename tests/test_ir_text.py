@@ -1,13 +1,11 @@
 """Parser / printer round-trip and error reporting tests."""
 
-import threading
-
 import pytest
 
 from repro.ir.parser import ParseError, parse_function
 from repro.ir.printer import format_function, format_instruction
 from repro.ir.instructions import BrDec, Copy, ParallelCopy, Phi, Variable
-from tests.helpers import GALLERY_PROGRAMS, diamond_function, loop_function
+from tests.helpers import GALLERY_PROGRAMS, diamond_function, loop_function, variable_occurrences
 
 
 SAMPLE = """
@@ -32,15 +30,6 @@ function sample(a, b) {
     ret
 }
 """
-
-
-def _variable_occurrences(function):
-    """Every variable mention: parameters, pins, then each instruction's
-    defs and uses (φ arguments and parallel-copy pairs included)."""
-    occurrences = list(function.params) + list(function.pinned)
-    for instruction in function.instructions():
-        occurrences += instruction.defs() + instruction.uses()
-    return occurrences
 
 
 class TestParser:
@@ -116,33 +105,11 @@ class TestParser:
 
     def test_one_variable_object_per_name(self):
         function = parse_function(SAMPLE)
-        occurrences = _variable_occurrences(function)
+        occurrences = variable_occurrences(function)
         by_name = {}
         for var in occurrences:
             assert by_name.setdefault(var.name, var) is var, var
         assert len(occurrences) > len(by_name)  # names do repeat
-
-    def test_concurrent_parses_share_no_variable_objects(self):
-        barrier = threading.Barrier(2)
-        parsed = [[], []]
-
-        def parse_many(slot):
-            barrier.wait()
-            for _ in range(25):
-                parsed[slot].append(parse_function(SAMPLE))
-
-        threads = [threading.Thread(target=parse_many, args=(slot,)) for slot in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-        functions = parsed[0] + parsed[1]
-        assert len(functions) == 50
-        owner = {}
-        for number, function in enumerate(functions):
-            for var in _variable_occurrences(function):
-                assert owner.setdefault(id(var), number) == number, var
 
     def test_constants_and_negative_numbers(self):
         function = parse_function(

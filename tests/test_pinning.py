@@ -5,9 +5,12 @@ import pytest
 from repro.interp import run_function
 from repro.ir.builder import FunctionBuilder
 from repro.ir.instructions import Call, ParallelCopy, Variable
-from repro.ir.validate import validate_ssa
+from repro.ir.parser import parse_function
+from repro.ir.validate import ValidationError, validate_ssa
+from repro.outofssa.config import ENGINE_CONFIGURATIONS
 from repro.outofssa.driver import destruct_ssa, engine_by_name
 from repro.outofssa.pinning import apply_calling_convention, pinned_register_groups
+from repro.pipeline import Pipeline
 
 
 def call_heavy_function():
@@ -101,3 +104,56 @@ class TestDestructionWithConstraints:
             if register == "R0"
         }
         assert len(final_r0_names) == 1
+
+
+# One pinned variable, defined once, in a function SSA construction renames.
+_PINNED_ONCE = """function g(a, b) {
+  pin x r1
+  entry:
+    y = copy a
+    br a, left, join
+  left:
+    y = add a, b
+    jump join
+  join:
+    x = add y, 1
+    ret x
+}
+"""
+
+# The pinned variable itself is defined twice, so it gets three versions.
+_PINNED_TWICE = """function f(a, b) {
+  pin x r1
+  entry:
+    x = copy a
+    br a, left, join
+  left:
+    x = add a, b
+    jump join
+  join:
+    ret x
+}
+"""
+
+
+class TestPinsThroughSSAConstruction:
+    """SSA construction renames a pinned variable's definitions; its pin must
+    follow the one version, or fail with a location, never vanish."""
+
+    @pytest.mark.parametrize("engine", [config.name for config in ENGINE_CONFIGURATIONS])
+    def test_pin_moves_to_the_one_version(self, engine):
+        expected = {args: run_function(parse_function(_PINNED_ONCE), args).observable()
+                    for args in ((0, 4), (3, 4))}
+        function = parse_function(_PINNED_ONCE)
+        Pipeline.for_engine(engine, construct_ssa=True).run(function)
+        [(pinned, register)] = function.pinned.items()
+        assert register == "r1" and pinned.name.startswith("x.")
+        assert function.blocks["join"].terminator.uses() == [pinned]
+        for args, observable in expected.items():
+            assert run_function(function, args).observable() == observable
+
+    @pytest.mark.parametrize("engine", [config.name for config in ENGINE_CONFIGURATIONS])
+    def test_pin_on_several_versions_is_a_located_error(self, engine):
+        function = parse_function(_PINNED_TWICE)
+        with pytest.raises(ValidationError, match=r"^f:left: pinned variable 'x' \(register r1\)"):
+            Pipeline.for_engine(engine, construct_ssa=True).run(function)
