@@ -4,7 +4,8 @@ This is the scenario that motivates the paper: a just-in-time compiler that
 (1) builds SSA from the incoming (non-SSA) code, (2) runs the cheap SSA
 optimizations that break conventionality (copy folding, value numbering),
 (3) applies calling-convention constraints, and (4) must get *out* of SSA
-quickly and with little memory before register allocation.
+quickly and with little memory before register allocation (which is not
+part of this example).
 
 All four steps are one declarative :class:`repro.Pipeline` run: the front
 half and the paper's four out-of-SSA phases execute as passes over a shared
@@ -17,8 +18,6 @@ from repro.bench.metrics import copy_counts
 from repro.interp import run_function
 from repro.ir import format_function, parse_function
 from repro.pipeline import Pipeline
-from repro.regalloc import allocate_registers
-from repro.regalloc.linear_scan import verify_allocation
 from repro.utils import AllocationTracker
 
 
@@ -91,17 +90,6 @@ def main() -> None:
     after = run_function(function, [3, 4])
     assert after.observable() == reference.observable()
     print("\nbehaviour preserved ✔  return =", after.return_value)
-
-    # 5. Linear-scan register allocation (the stage that follows in a JIT).
-    allocation = allocate_registers(function, registers=("R0", "R1", "R2", "R3", "R4", "R5"))
-    verify_allocation(allocation)
-    print("\n=== linear-scan register allocation ===")
-    print("registers used:", ", ".join(allocation.used_registers()))
-    print("spilled values:", allocation.spill_count)
-    for var in sorted(function.variables(), key=lambda v: v.name)[:10]:
-        location = allocation.location_of(var)
-        if location is not None:
-            print(f"  {var.name:12s} -> {location}")
 
 
 if __name__ == "__main__":

@@ -37,10 +37,8 @@ analysis cache*:
 * serving translations as a daemon: :mod:`repro.service` —
   :class:`~repro.service.translator.TranslationService` (a content-addressed
   warm cache keyed by IR digest × ``EngineConfig.fingerprint()`` in front of
-  warm sessions), :class:`~repro.service.scheduler.ShardedScheduler`
-  (digest-affine shards, threads for warm traffic / processes for cold
-  batches, in-shard parallel coalescing over the congruence-class matrix
-  rows), and the ``repro serve`` / ``repro request`` daemon pair speaking
+  one session per engine), :class:`~repro.service.scheduler.ShardedScheduler`
+  (digest-affine shards), and the ``repro serve`` / ``repro request`` daemon pair speaking
   newline-delimited JSON (see ``docs/SERVICE.md``).
 """
 

@@ -17,8 +17,8 @@ variables.  This module generates exactly those *functions-as-graphs*:
   reverse post-order has no good visit order.
 * :func:`random_edit_batch` — a materialization-shaped batch of structural
   edits (copies inserted, edges split, localized renames) applied to the
-  function *and* described as an :class:`~repro.ir.editlog.EditLog`, the way
-  the isolation/materialization passes describe their own edits.
+  function *and* described as an :class:`~repro.ir.editlog.EditLog` (the
+  JIT re-translation shape of ``TranslationService.retranslate``).
 * :func:`scaled_specs` — the standard 1k–10k-block ladder behind
   ``repro stress`` and the cold-latency / verify-overhead benchmarks.
 
@@ -274,8 +274,7 @@ def random_edit_batch(
       block logged.
 
     The function is edited *in place* and the returned
-    :class:`~repro.ir.editlog.EditLog` describes every edit, exactly as the
-    passes themselves log them.
+    :class:`~repro.ir.editlog.EditLog` describes every edit.
     """
     rng = random.Random(seed)
     log = EditLog()

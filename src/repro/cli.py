@@ -61,6 +61,7 @@ from repro.bench.suite import SUITE, build_suite
 from repro.coalescing.variants import VARIANTS
 from repro.interp import run_function
 from repro.ir import ValidationError, format_function, parse_function, validate_function
+from repro.ir.parser import ParseError
 from repro.outofssa.config import (
     ENGINE_CONFIGURATIONS,
     INTERFERENCE_BACKENDS,
@@ -79,7 +80,11 @@ def _load_function(path: str, validate: bool = True):
     is the escape hatch for deliberately broken inputs.
     """
     with open(path) as handle:
-        function = parse_function(handle.read())
+        text = handle.read()
+    try:
+        function = parse_function(text)
+    except ParseError as error:
+        raise SystemExit(f"repro: {path}: {error}") from None
     if validate:
         try:
             validate_function(function)
@@ -141,7 +146,11 @@ def command_translate(args: argparse.Namespace) -> int:
         optimize=args.construct_ssa and args.optimize,
         abi=args.abi,
     )
-    result = pipeline.run(function)
+    try:
+        result = pipeline.run(function)
+    except ValidationError as error:
+        # e.g. SSA construction refusing a pin on a multiply-defined variable.
+        raise SystemExit(f"repro: {args.file}: {error}") from None
     print(format_function(function), end="")
 
     report = result.verify_report

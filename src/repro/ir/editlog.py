@@ -1,29 +1,20 @@
 """Structural edit logs over a function.
 
-The out-of-SSA transformation passes (φ-isolation, materialization) edit the
-program in small, local ways: parallel copies appear in a handful of blocks,
-an occasional critical edge is split, congruence classes are renamed to their
-representatives.  An :class:`EditLog` records those edits as data so that a
-cached analysis can *patch* itself instead of being rebuilt from scratch —
-today only the liveness checker's per-variable caches
-(:meth:`~repro.liveness.livecheck.LivenessChecker.apply_edits`); every other
-analysis, the flat arena included, is dropped and rebuilt.
+An :class:`EditLog` describes in-place edits to a function as data: copies
+inserted, edges split, blocks rewritten, variables renamed — each edit with
+the blocks it touched and the variables it affects.  It is the format in
+which a caller of :meth:`repro.service.translator.TranslationService.retranslate`
+reports how it edited a hot function, and what
+:func:`repro.bench.corpus.random_edit_batch` returns.
 
-An edit carries the blocks it touched and the variables it affects.  The
-checker reads two facts from a log:
+No analysis is patched from a log: a re-translation is one cold pipeline run
+over the edited function, so a log is a description for the caller's
+records, never an input the translation depends on.
 
-* ``affected_variables`` — every variable whose def/use structure may have
-  changed anywhere.  Facts about any *other* variable remain exact, because
-  liveness decomposes per variable;
-* the ``BLOCK_SPLIT`` edits' ``(source, new block, target)`` triples — a
-  split edge changes the block sets of the variables live across it.
-
-The contract, relied on by every consumer: **a block whose instructions
-mention an affected variable must be logged as touched** (a rename, for
-example, rewrites those instructions, and the pass logs each rewritten
-block).  Emission helpers live with the passes that mutate —
-:meth:`repro.outofssa.method_i.PhiCopyInsertion.edit_log` and the
-materialization logger in :mod:`repro.pipeline.phases`.
+The recording contract, kept by :func:`~repro.bench.corpus.random_edit_batch`:
+**a block whose instructions mention an affected variable is logged as
+touched** (a rename, for example, rewrites those instructions, and each
+rewritten block is logged).
 """
 
 from __future__ import annotations

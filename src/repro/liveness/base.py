@@ -1,8 +1,8 @@
 """Shared query interface of the liveness oracles.
 
 The only block-level facts an oracle must provide are ``is_live_in`` and
-``is_live_out``; every finer-grained query (live after a given program point,
-live at a definition) is derived here from the definition/use position maps
+``is_live_out``; every finer-grained query (used or live after a given
+program point) is derived here from the definition/use position maps
 of a :class:`~repro.ir.positions.DefUseIndex`, which the analysis cache
 shares between the oracle and the other analyses of one translation.
 
@@ -31,19 +31,10 @@ class LivenessOracle:
 
     def __init__(self, function: Function, index: Optional[DefUseIndex] = None) -> None:
         self.function = function
-        self._index_positions(index)
-
-    def _index_positions(self, index: Optional[DefUseIndex] = None) -> None:
-        """Take the definition/use position maps from a :class:`DefUseIndex`.
-
-        The analysis cache passes its shared index (one walk of the function
-        per translation); without one, the function is walked here.
-        :class:`~repro.liveness.livecheck.LivenessChecker` calls this again,
-        with no index, after the function was edited underneath it (see its
-        ``apply_edits``).
-        """
+        # The analysis cache passes its shared index (one walk of the
+        # function per translation); without one, the function is walked here.
         if index is None:
-            index = DefUseIndex(self.function)
+            index = DefUseIndex(function)
         self.index = index
         self.def_points: Dict[Variable, ProgramPoint] = index.def_points
         #: ``(block, index)`` of every use (see :class:`DefUseIndex`).
@@ -81,19 +72,6 @@ class LivenessOracle:
         if self.is_used_after(block_label, index, var):
             return True
         return self.is_live_out(block_label, var)
-
-    def is_live_at_definition(self, var: Variable, of: Variable) -> bool:
-        """Is ``var`` live just after the definition point of ``of``?
-
-        This is the building block of every interference test in the paper:
-        ``a`` and ``b`` intersect iff one is live at the definition of the
-        other.  Variables defined by the same parallel copy / φ-group are
-        simultaneously live right after it, which this query captures.
-        """
-        def_point = self.def_points.get(of)
-        if def_point is None:
-            return False
-        return self.is_live_after(def_point.block, def_point.index, var)
 
     # -- footprint accounting (overridden where meaningful) -------------------------
     def footprint_bytes(self) -> int:

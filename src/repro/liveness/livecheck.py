@@ -13,17 +13,18 @@ closed-form model of the CGO'08 sets (two bit-sets of #blocks bits per
 block, see :meth:`LivenessChecker.footprint_bytes`), not a structure this
 checker retains.
 
-A walk cache survives every edit that neither mentions its variable nor
-splits an edge the variable is live across, which is the property the paper
-relies on ("these data structures are thus still valid even if instructions
-are moved, introduced, or removed").
+The walk caches are filled once per translation and never patched: the
+paper's remark that liveness-checking structures stay "valid even if
+instructions are moved, introduced, or removed" is about the CGO'08
+CFG-only sets, which are not built here.  Every pass that edits the function
+drops the checker, and the next query builds a fresh one over the cache's
+one :class:`~repro.ir.positions.DefUseIndex`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.ir.editlog import BLOCK_SPLIT, EditLog
 from repro.ir.function import Function
 from repro.ir.instructions import Variable
 from repro.ir.positions import DefUseIndex, edge_index
@@ -81,58 +82,6 @@ class LivenessChecker(LivenessOracle):
 
         self._live_in_blocks[var] = live_in
         self._live_out_blocks[var] = live_out
-
-    # -- incremental invalidation ----------------------------------------------------
-    def apply_edits(self, log: EditLog) -> int:
-        """Patch the per-variable answer caches from one structural edit log.
-
-        The lazily-filled per-variable walk caches stay exact for every
-        variable no edit mentions (the :class:`~repro.ir.editlog.EditLog`
-        contract: a block whose instructions mention an affected variable is
-        logged as touched), so only the affected entries are dropped — they
-        refill on the next query instead of the whole oracle being rebuilt.
-
-        Split edges additionally invalidate the cached walks of variables
-        that may be live across (or φ-read on) the split edge: their block
-        sets gain the new block.  The test is conservative — live-out of the
-        split source or live-in of the split target — which can only drop a
-        still-valid cache entry, never keep a stale one.
-
-        Returns the number of cached variable entries dropped.
-        """
-        dropped = 0
-
-        def drop(var: Variable) -> None:
-            nonlocal dropped
-            had = var in self._live_in_blocks or var in self._live_out_blocks
-            self._live_in_blocks.pop(var, None)
-            self._live_out_blocks.pop(var, None)
-            if had:
-                dropped += 1
-
-        for var in log.affected_variables():
-            drop(var)
-
-        for edit in log:
-            if edit.kind != BLOCK_SPLIT or len(edit.blocks) != 3:
-                continue
-            source, _new_label, target = edit.blocks
-            stale = [
-                var
-                for var, outs in self._live_out_blocks.items()
-                if source in outs or target in self._live_in_blocks.get(var, ())
-            ]
-            for var in stale:
-                drop(var)
-
-        # Re-index the definition/use position maps eagerly, from a fresh
-        # DefUseIndex of the edited function (the cache's shared one is
-        # stale now): queries are the hot path of every LiveCheck engine, so
-        # they must stay free of staleness checks; the patch itself is still
-        # far below a rebuild (the per-variable walk caches — the expensive
-        # part — refill only for the dropped entries).
-        self._index_positions()
-        return dropped
 
     # -- oracle interface ----------------------------------------------------------------
     def is_live_in(self, block_label: str, var: Variable) -> bool:

@@ -24,11 +24,10 @@ fresh block to host the copy, Figure 2(c)) or raises :class:`IsolationError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Optional, Tuple
+from typing import Dict, List, Literal
 
-from repro.ir.editlog import EditLog
 from repro.ir.function import Function
-from repro.ir.instructions import Constant, Operand, Phi, Variable
+from repro.ir.instructions import Operand, Phi, Variable
 
 
 class IsolationError(Exception):
@@ -49,7 +48,6 @@ class InsertedCopy:
     block: str            #: label of the block whose parallel copy holds it
     kind: str             #: "phi_arg" or "phi_result"
     phi: Phi               #: the φ-function it belongs to
-    phi_block: str = ""    #: label of the block holding that φ-function
 
 
 @dataclass
@@ -63,37 +61,10 @@ class PhiCopyInsertion:
     copy_sources: Dict[Variable, Operand] = field(default_factory=dict)
     #: Labels of blocks created by edge splitting (Figure 2 fallback).
     split_blocks: List[str] = field(default_factory=list)
-    #: The split edges as ``(source, target, new_label)`` (same order as
-    #: ``split_blocks``; kept separately for backward compatibility).
-    split_edges: List[Tuple[str, str, str]] = field(default_factory=list)
 
     @property
     def inserted_copy_count(self) -> int:
         return len(self.copies)
-
-    def edit_log(self) -> EditLog:
-        """The insertion, described as an :class:`~repro.ir.editlog.EditLog`.
-
-        Every block that received a parallel-copy component is touched, every
-        φ whose operands were primed makes its own block touched (its φ-defs
-        changed), and edge splits contribute their three blocks.  The
-        affected variables are the primed copies' two sides — which cover the
-        original φ results and arguments.
-        """
-        log = EditLog()
-        for source, target, new_label in self.split_edges:
-            log.block_split(source, target, new_label)
-        for copy in self.copies:
-            log.copy_inserted(copy.block, copy.dst, copy.src)
-            if copy.kind == "phi_arg" and copy.phi_block:
-                # The φ's own block changed too: its argument was re-pointed
-                # at the primed variable (copy.dst), so the original argument
-                # lost its φ-edge use while the primed one gained it.
-                involved = [copy.dst]
-                if isinstance(copy.src, Variable):
-                    involved.append(copy.src)
-                log.block_rewritten(copy.phi_block, involved)
-        return log
 
 
 def _argument_defined_by_terminator(function: Function, pred_label: str, arg: Operand) -> bool:
@@ -125,7 +96,7 @@ def insert_phi_copies(
             primed_members.append(primed_dst)
             result.copies.append(
                 InsertedCopy(dst=original_dst, src=primed_dst, block=block.label,
-                             kind="phi_result", phi=phi, phi_block=block.label)
+                             kind="phi_result", phi=phi)
             )
             result.copy_sources[primed_dst] = primed_dst  # φ-def: its own value
 
@@ -142,7 +113,6 @@ def insert_phi_copies(
                         )
                     new_block = function.split_edge(pred_label, block.label)
                     result.split_blocks.append(new_block.label)
-                    result.split_edges.append((pred_label, block.label, new_block.label))
                     insertion_label = new_block.label
                     # ``split_edge`` re-keyed the φ argument to the new block.
                     pred_label = new_block.label
@@ -155,7 +125,7 @@ def insert_phi_copies(
                 primed_members.append(primed_arg)
                 result.copies.append(
                     InsertedCopy(dst=primed_arg, src=arg, block=insertion_label,
-                                 kind="phi_arg", phi=phi, phi_block=block.label)
+                                 kind="phi_arg", phi=phi)
                 )
                 result.copy_sources[primed_arg] = arg
 

@@ -41,19 +41,6 @@ class Pass:
     def run(self, ctx) -> None:
         raise NotImplementedError
 
-    def preserved(self, ctx) -> object:
-        """The preserve-set for *this* run (consumed by the ``PassManager``).
-
-        Defaults to the static :attr:`preserves` declaration, widened by any
-        analyses the pass body registered on ``ctx.patched_analyses`` — the
-        in-place patching hook (e.g. a materialization that updated the
-        liveness checker's caches instead of invalidating them).
-        """
-        patched = tuple(getattr(ctx, "patched_analyses", ()))
-        if self.preserves is PRESERVES_ALL:
-            return PRESERVES_ALL
-        return tuple(self.preserves) + patched
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 

@@ -25,13 +25,11 @@ from typing import Dict, List, Optional
 from repro.coalescing.engine import Affinity, AggressiveCoalescer, collect_affinities
 from repro.coalescing.sharing import apply_copy_sharing
 from repro.interference.congruence import CongruenceClasses
-from repro.ir.editlog import EditLog
 from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
 from repro.ir.instructions import Constant, Copy, ParallelCopy, Variable
 from repro.liveness.bitsets import BitLivenessSets
 from repro.liveness.dataflow import LivenessSets
-from repro.liveness.livecheck import LivenessChecker
 from repro.outofssa.method_i import PhiCopyInsertion, insert_phi_copies
 from repro.outofssa.parallel_copy import sequentialize_parallel_copy
 from repro.outofssa.pinning import pinned_register_groups
@@ -61,18 +59,6 @@ def candidate_universe(
     return list(seen)
 
 
-def _patch_warm_analyses(ctx, checker: LivenessChecker, log: EditLog) -> None:
-    """Feed one edit log to the liveness checker's per-variable caches.
-
-    The checker is vouched for via ``ctx.patched_analyses`` so the
-    :class:`~repro.pipeline.pipeline.PassManager` re-stamps instead of
-    dropping it; every other analysis, the flat arena included, is rebuilt
-    cold when next requested.
-    """
-    checker.apply_edits(log)
-    ctx.patched_analyses.append(LivenessChecker)
-
-
 # --------------------------------------------------------------------------- phase 1
 class IsolationPass(Pass):
     """Method I: isolate φ-functions behind parallel copies."""
@@ -81,17 +67,10 @@ class IsolationPass(Pass):
     preserves = ()  # inserts copies, may split blocks: everything is stale
 
     def run(self, ctx) -> None:
-        # Warm-cache fast path (JIT re-translation): the livecheck answer
-        # caches survive the insertion as a patch instead of a recompute.
-        checker: Optional[LivenessChecker] = ctx.analyses.cached(LivenessChecker)
-
         insertion = insert_phi_copies(ctx.function, on_branch_def=ctx.config.on_branch_def)
         ctx.insertion = insertion
         ctx.stats.inserted_phi_copies = insertion.inserted_copy_count
         ctx.stats.split_blocks = len(insertion.split_blocks)
-
-        if checker is not None:
-            _patch_warm_analyses(ctx, checker, insertion.edit_log())
 
 
 # --------------------------------------------------------------------------- phase 2
@@ -195,14 +174,6 @@ class MaterializationPass(Pass):
         # generation-checked cache would rightly refuse to serve analyses
         # afterwards; the backend already holds its references).
         oracle = ctx.test.oracle
-        # Patching the LivenessChecker across materialization only pays off
-        # when someone can query the cache after the run (a caller-owned,
-        # warm cache); for run-private caches it would be pure edit-logging
-        # overhead on the hottest engines, so it is skipped.
-        checker: Optional[LivenessChecker] = (
-            ctx.analyses.cached(LivenessChecker) if ctx.external_cache else None
-        )
-        edit_log = EditLog() if checker is not None else None
 
         rename_map = build_rename_map(ctx.classes)
         shared_destinations = {
@@ -212,15 +183,8 @@ class MaterializationPass(Pass):
         }
         materialize(
             function, rename_map, shared_destinations, ctx.frequencies, stats,
-            edit_log=edit_log, lowered=ctx.lowered_pcopies,
+            lowered=ctx.lowered_pcopies,
         )
-
-        if edit_log is not None:
-            if rename_map:
-                edit_log.variables_renamed(rename_map)
-            # The translated function's checker is served patched, not
-            # recomputed — e.g. to a register allocator running next.
-            _patch_warm_analyses(ctx, checker, edit_log)
 
         stats.pair_queries = ctx.classes.pair_queries
         stats.class_row_checks = ctx.classes.class_row_checks
@@ -263,16 +227,9 @@ def materialize(
     shared_destinations,
     frequencies: Dict[str, float],
     stats,
-    edit_log: Optional[EditLog] = None,
     lowered: Optional[List] = None,
 ) -> None:
     """Rename to representatives, drop φs, sequentialize surviving copies.
-
-    When ``edit_log`` is given, every block whose instruction list changed is
-    logged (with the φ/parallel-copy variables involved); the caller combines
-    that with one ``variables_renamed`` entry for the rename map, which is
-    what lets the liveness checker patch its caches over the materialized
-    program.
 
     When ``lowered`` is given (a checked run), every lowered parallel copy
     appends a ``(block label, renamed pairs, emitted copies)`` record to it,
@@ -312,64 +269,25 @@ def materialize(
 
     for block in function:
         label = block.label
-        # Per-block edit accounting: whether the instruction list changed, and
-        # which variables (beyond the globally-logged rename map) it involved.
-        block_changed = False
-        block_vars: List[Variable] = []
-
-        def note_pcopy(pcopy: ParallelCopy, copies: List[Copy]) -> None:
-            if edit_log is None:
-                return
-            for dst, src in pcopy.pairs:
-                block_vars.append(dst)
-                if isinstance(src, Variable):
-                    block_vars.append(src)
-            for copy in copies:
-                block_vars.append(copy.dst)
-                if isinstance(copy.src, Variable):
-                    block_vars.append(copy.src)
-
-        def renames_anything(instruction) -> bool:
-            return any(var in mapping for var in instruction.uses()) or any(
-                var in mapping for var in instruction.defs()
-            )
-
         # φ-functions: after renaming every operand maps to the φ-node
         # representative, so they simply disappear.
-        if block.phis:
-            block_changed = True
-            if edit_log is not None:
-                for phi in block.phis:
-                    block_vars.append(phi.dst)
-                    block_vars.extend(phi.uses())
-            block.phis = []
+        block.phis = []
 
         prefix: List[Copy] = []
         if block.entry_pcopy is not None:
             prefix = lower_pcopy(block.entry_pcopy, label)
-            note_pcopy(block.entry_pcopy, prefix)
-            block_changed = True
             block.entry_pcopy = None
 
         new_body: List = []
         for instruction in block.body:
             if isinstance(instruction, ParallelCopy):
-                copies = lower_pcopy(instruction, label)
-                note_pcopy(instruction, copies)
-                block_changed = True
-                new_body.extend(copies)
+                new_body.extend(lower_pcopy(instruction, label))
                 continue
-            if edit_log is not None and renames_anything(instruction):
-                block_changed = True
             instruction.replace_uses(mapping)  # type: ignore[arg-type]
             instruction.replace_defs(mapping)
             if isinstance(instruction, Copy):
                 if isinstance(instruction.src, Variable) and instruction.src == instruction.dst:
-                    # Dropped self-copy: the block changed even when the name
-                    # was never renamed (an originally trivial copy).
-                    block_changed = True
-                    block_vars.append(instruction.dst)
-                    continue
+                    continue  # a self-copy, coalesced away or trivial from the start
                 if isinstance(instruction.src, Constant):
                     stats.constant_moves += 1
                 else:
@@ -380,19 +298,12 @@ def materialize(
         suffix: List[Copy] = []
         if block.exit_pcopy is not None:
             suffix = lower_pcopy(block.exit_pcopy, label)
-            note_pcopy(block.exit_pcopy, suffix)
-            block_changed = True
             block.exit_pcopy = None
 
         block.body = prefix + new_body + suffix
 
         if block.terminator is not None:
-            if edit_log is not None and renames_anything(block.terminator):
-                block_changed = True
             block.terminator.replace_uses(mapping)  # type: ignore[arg-type]
             block.terminator.replace_defs(mapping)
-
-        if edit_log is not None and block_changed:
-            edit_log.block_rewritten(label, block_vars)
 
     function.invalidate_cfg()

@@ -76,16 +76,6 @@ class PipelineContext:
     classes: Optional[object] = None        #: CongruenceClasses
     coalescing: Optional[object] = None     #: CoalescingStats
     rename_map: Dict = field(default_factory=dict)
-    #: Analyses the *current* pass patched in place (rather than invalidated);
-    #: the PassManager adds them to the pass's preserve-set, re-stamps their
-    #: generation, and clears this list before the next pass runs.
-    patched_analyses: List[type] = field(default_factory=list)
-    #: Whether the analysis cache was handed in by the caller (who may keep
-    #: querying it after the run) rather than created for this run.  Pure
-    #: post-run conveniences — like patching the LivenessChecker's answer
-    #: caches across materialization — are skipped for run-private caches,
-    #: which nobody can observe afterwards.
-    external_cache: bool = False
     #: Wall-clock seconds per pass name (accumulated by the PassManager).
     pass_seconds: Dict[str, float] = field(default_factory=dict)
     #: Set to a list by the verifier (full level) before materialization runs;
@@ -120,13 +110,9 @@ class PassManager:
             ctx.pass_seconds[pass_.name] = (
                 ctx.pass_seconds.get(pass_.name, 0.0) + time.perf_counter() - start
             )
-            if hasattr(pass_, "preserved"):
-                preserves = pass_.preserved(ctx)
-            else:
-                preserves = getattr(pass_, "preserves", ())
+            preserves = getattr(pass_, "preserves", ())
             if preserves is not PRESERVES_ALL:
                 ctx.analyses.invalidate_all(preserve=preserves)
-            ctx.patched_analyses = []
 
 
 # --------------------------------------------------------------------------- pipeline
@@ -200,7 +186,6 @@ class Pipeline:
         """
         tracker = tracker if tracker is not None else AllocationTracker()
         stats = OutOfSSAStats()
-        external_cache = cache is not None
         if cache is None:
             cache = AnalysisCache(function, self.config)
         elif cache.function is not function:
@@ -220,7 +205,6 @@ class Pipeline:
             tracker=tracker,
             variant=variant_by_name(self.config.coalescing),
             frequencies=dict(frequencies) if frequencies is not None else None,
-            external_cache=external_cache,
         )
         verifier = None
         if self.config.verify_level != "off":

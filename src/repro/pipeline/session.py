@@ -8,16 +8,11 @@ the entry point the CLI ``bench`` command and the ``benchmarks/`` harness run
 on, and the shape a batch-serving deployment would wrap: one session per
 engine, many functions through it.
 
-Warm mode (``Session(engine, warm=True)``) additionally retains one
-:class:`~repro.pipeline.analysis.AnalysisCache` per *function object* and
-hands it back to the pipeline on every translation of that function — the
-JIT re-translation shape: the ``check`` backend's answer caches survive a
-whole translation patched (the passes feed them their edit logs) and are
-served warm on the next run; every other analysis is rebuilt cold.  Between
-runs, :meth:`Session.apply_edits` feeds externally-made structural edits
-(described as an :class:`~repro.ir.editlog.EditLog`, exactly as the passes
-describe their own) to the retained checker.  The translation *service*
-(:mod:`repro.service`) runs entirely on this mode.
+Every translation is one cold pipeline run over a fresh
+:class:`~repro.pipeline.analysis.AnalysisCache`: a session retains no
+per-function analyses.  The translation *service* (:mod:`repro.service`)
+re-translates an edited hot function the same way, so warm and cold results
+agree by construction.
 """
 
 from __future__ import annotations
@@ -26,10 +21,8 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.ir.editlog import EditLog
 from repro.ir.function import Function
-from repro.liveness.livecheck import LivenessChecker
 from repro.outofssa.config import DEFAULT_ENGINE
 from repro.outofssa.result import OutOfSSAResult
-from repro.pipeline.analysis import AnalysisCache
 from repro.pipeline.pipeline import EngineLike, Pipeline
 from repro.utils.instrument import AllocationTracker
 
@@ -44,17 +37,10 @@ class Session:
         construct_ssa: bool = False,
         optimize: bool = False,
         abi: bool = False,
-        warm: bool = False,
     ) -> None:
         self.pipeline = Pipeline.for_engine(
             engine, construct_ssa=construct_ssa, optimize=optimize, abi=abi
         )
-        #: Warm mode: retain one analysis cache per function object and hand
-        #: it to every re-translation of that function.
-        self.warm = warm
-        self._warm_caches: Dict[Function, AnalysisCache] = {}
-        #: Translations that found a retained warm cache for their function.
-        self.warm_reuses = 0
         # Running aggregates only: each result carries its own tracker, and
         # retaining them here would grow without bound in a long-lived session.
         self.functions_translated = 0
@@ -74,17 +60,7 @@ class Session:
     ) -> OutOfSSAResult:
         """Translate one function (in place, like ``destruct_ssa``)."""
         tracker = AllocationTracker()
-        cache: Optional[AnalysisCache] = None
-        if self.warm:
-            cache = self._warm_caches.get(function)
-            if cache is None:
-                cache = AnalysisCache(function, self.config)
-                self._warm_caches[function] = cache
-            else:
-                self.warm_reuses += 1
-        result = self.pipeline.run(
-            function, frequencies=frequencies, tracker=tracker, cache=cache
-        )
+        result = self.pipeline.run(function, frequencies=frequencies, tracker=tracker)
         self.functions_translated += 1
         self.total_seconds += result.stats.elapsed_seconds
         self._total_allocated_bytes += tracker.total()
@@ -95,43 +71,14 @@ class Session:
         """Translate every function (each in place) through the shared pipeline."""
         return [self.translate(function) for function in functions]
 
-    # -- warm-cache management -------------------------------------------------
-    def warm_cache(self, function: Function) -> Optional[AnalysisCache]:
-        """The retained analysis cache of ``function`` (warm sessions only)."""
-        return self._warm_caches.get(function)
-
-    def forget(self, function: Function) -> bool:
-        """Drop the retained analysis cache of one function (eviction hook)."""
-        return self._warm_caches.pop(function, None) is not None
-
-    def flush_warm(self) -> int:
-        """Drop every retained analysis cache; returns how many were held."""
-        count = len(self._warm_caches)
-        self._warm_caches.clear()
-        return count
-
     def apply_edits(self, function: Function, log: EditLog) -> None:
-        """Patch the retained analyses of ``function`` from an edit log.
+        """Accept a description of in-place edits to ``function``; a no-op.
 
-        The ``check`` backend's answer caches are patched in place and
-        re-stamped at the function's current generation; everything else is
-        invalidated and rebuilt cold by the next :meth:`translate`, which
-        therefore neither trips the
-        :class:`~repro.pipeline.analysis.StaleAnalysisError` guard nor reuses
-        a stale analysis.
+        Sessions retain no analyses, so there is nothing to patch: the next
+        :meth:`translate` of the edited function is a cold run.  The method
+        stays only because benchmark tracers wrap it by name (the
+        ``jit.apply_edits`` span); it goes when that span does.
         """
-        cache = self._warm_caches.get(function)
-        if cache is None:
-            raise KeyError(
-                f"no warm analysis cache retained for {function.name!r} "
-                f"(is this a warm session that translated it?)"
-            )
-        patched: List[type] = []
-        checker = cache.cached(LivenessChecker)
-        if checker is not None:
-            checker.apply_edits(log)
-            patched.append(LivenessChecker)
-        cache.invalidate_all(preserve=patched)
 
     # -- aggregates -----------------------------------------------------------
     def total_memory_bytes(self) -> int:

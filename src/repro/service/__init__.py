@@ -8,11 +8,10 @@ hot functions:
 * :mod:`repro.service.cache` — :class:`TranslationCache`, a content-addressed
   warm cache keyed by IR digest × engine fingerprint, holding completed
   translations *and* the per-function warm state (the translated
-  :class:`~repro.ir.function.Function` plus its patched
-  :class:`~repro.pipeline.analysis.AnalysisCache`);
+  :class:`~repro.ir.function.Function`, re-translated without a re-parse);
 * :mod:`repro.service.translator` — :class:`TranslationService`, one worker:
-  a warm :class:`~repro.pipeline.session.Session` per engine fingerprint in
-  front of one cache;
+  a :class:`~repro.pipeline.session.Session` per engine fingerprint behind
+  one cache;
 * :mod:`repro.service.scheduler` — :class:`ShardedScheduler`, routing each
   request to one of N digest-affine shards; the daemon streams each batch
   partition on its worker threads;

@@ -13,14 +13,10 @@ The cache is keyed by ``(IR digest, engine fingerprint)``:
 A hit returns the completed :class:`CachedTranslation` (output text + stats
 snapshot) without parsing, analysing or translating anything.  Alongside the
 result, the cache can retain the per-key :class:`WarmState`: the translated
-:class:`~repro.ir.function.Function` object together with the
-:class:`~repro.pipeline.analysis.AnalysisCache` the warm
-:class:`~repro.pipeline.session.Session` drove through the pipeline.  That
-cache left the run *patched* — the ``check`` backend's answer caches were
-fed the passes' edit logs and re-stamped via the generation-stamp
-machinery — so a JIT-style *edit and re-translate* of a hot function skips
-the parse and keeps those caches; every other analysis is rebuilt cold (see
-``Session.apply_edits`` / ``TranslationService.retranslate``).
+:class:`~repro.ir.function.Function` object, so a JIT-style *edit and
+re-translate* of a hot function skips the parse (see
+``TranslationService.retranslate``).  No analysis is retained: the
+re-translation is one cold pipeline run over the edited function.
 
 Eviction is LRU over completed results with the warm state evicted alongside
 its entry; ``capacity=0`` disables caching (every request translates cold —
@@ -36,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.ir.function import Function
-from repro.pipeline.analysis import AnalysisCache
 
 #: A cache key: ``(text digest of the source IR, engine fingerprint)``.
 CacheKey = Tuple[str, str]
@@ -65,18 +60,10 @@ class CachedTranslation:
 
 @dataclass
 class WarmState:
-    """The reusable per-function artifacts retained next to a result.
-
-    ``function`` is the translated (out-of-SSA) function object and
-    ``analyses`` the analysis cache that rode through its translation —
-    patched, not recomputed, across isolation and materialization.  The
-    ``session`` reference keeps the pair bound to the warm session that owns
-    the cache, so a re-translation goes back through the same warm path.
-    """
+    """The translated (out-of-SSA) function object retained next to a result,
+    which callers edit in place before a re-translation."""
 
     function: Function
-    analyses: AnalysisCache
-    session: object = None  #: the owning warm Session (opaque here)
 
 
 @dataclass
@@ -158,7 +145,7 @@ class TranslationCache:
                 self._warm[key] = warm_state
             while len(self._results) > self.capacity:
                 evicted_key, _ = self._results.popitem(last=False)
-                self._drop_warm(evicted_key)
+                self._warm.pop(evicted_key, None)
                 self._evictions += 1
 
     def warm_state(self, digest: str, fingerprint: str) -> Optional[WarmState]:
@@ -167,31 +154,23 @@ class TranslationCache:
             return self._warm.get((digest, fingerprint))
 
     def detach_warm(self, digest: str, fingerprint: str) -> Optional[WarmState]:
-        """Remove and return a warm state *without* releasing its session.
+        """Remove and return a warm state.
 
         Used by ``retranslate``: after in-place edits the function belongs to
         the edited program's digest, so the state moves keys — the old
         result entry stays valid (its stored text still answers the old
         program) but must no longer alias the mutated function, and evicting
-        it must not drop the analysis cache the new key depends on.
+        it must not drop the function the new key depends on.
         """
         with self._lock:
             return self._warm.pop((digest, fingerprint), None)
-
-    def _drop_warm(self, key: CacheKey) -> None:
-        state = self._warm.pop(key, None)
-        if state is not None and state.session is not None:
-            # Release the session's per-function analysis cache along with
-            # the entry, or a long-lived warm session would leak functions.
-            state.session.forget(state.function)
 
     # -- maintenance -----------------------------------------------------------
     def flush(self) -> int:
         """Drop every entry and warm state; returns how many entries held."""
         with self._lock:
             count = len(self._results)
-            for key in list(self._warm):
-                self._drop_warm(key)
+            self._warm.clear()
             self._results.clear()
             self._flushes += 1
             return count

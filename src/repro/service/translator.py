@@ -1,30 +1,28 @@
-"""One translation worker: a warm session per engine behind one cache.
+"""One translation worker: a session per engine behind one cache.
 
 :class:`TranslationService` is the unit the sharded scheduler replicates and
 the daemon dispatches into.  It owns
 
 * one :class:`~repro.service.cache.TranslationCache` (content-addressed,
   possibly shared), and
-* one warm :class:`~repro.pipeline.session.Session` per engine
-  *fingerprint* it has served, so re-translations of hot functions reuse the
-  retained per-function :class:`~repro.pipeline.analysis.AnalysisCache`.
+* one :class:`~repro.pipeline.session.Session` per engine *fingerprint* it
+  has served.
 
 The request lifecycle (``translate_text``):
 
 1. digest the source text, fingerprint the engine;
 2. **hit** — return the completed translation verbatim (no parse, no
    analysis, no translation);
-3. **miss** — parse, translate through the warm session, store the result
-   *and* the warm state (translated function + patched analysis cache), so
-   the function is hot from now on.
+3. **miss** — parse, translate through the session, store the result *and*
+   the warm state (the translated function), so the function is hot from
+   now on.
 
 :meth:`TranslationService.retranslate` is the JIT path over the warm state:
 the caller edits the hot function in place, describes the edits as an
-:class:`~repro.ir.editlog.EditLog` (exactly as the passes describe their
-own), and the service patches the retained ``check`` backend's answer caches
-from the log before running the pipeline again over the same analysis
-cache; every other analysis is rebuilt cold, so the result is the cold
-translation of the edited program by construction.
+:class:`~repro.ir.editlog.EditLog`, and the service translates the edited
+function object without re-parsing it.  The run is an ordinary cold
+pipeline run, so the result is the cold translation of the edited program
+by construction.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ class ServiceResult:
 
 
 class TranslationService:
-    """One worker: cache in front, warm sessions behind."""
+    """One worker: cache in front, sessions behind."""
 
     def __init__(
         self,
@@ -97,11 +95,6 @@ class TranslationService:
     ) -> None:
         self.default_config = resolve_engine(engine)
         self.cache = cache if cache is not None else TranslationCache(capacity)
-        # Warm state is only retained when the cache can actually hold (and
-        # eventually evict-and-release) it: with caching disabled the
-        # eviction hook never runs, so a warm session would accumulate one
-        # AnalysisCache per request forever in a long-lived daemon.
-        self._warm = self.cache.capacity != 0
         self._sessions: Dict[str, Session] = {}
         self._configs: Dict[str, EngineConfig] = {}
         self._lock = threading.RLock()
@@ -117,13 +110,13 @@ class TranslationService:
         fingerprint = config.fingerprint()
         session = self._sessions.get(fingerprint)
         if session is None:
-            session = Session(config, warm=self._warm)
+            session = Session(config)
             self._sessions[fingerprint] = session
             self._configs[fingerprint] = config
         return session
 
     def sessions(self) -> Dict[str, Session]:
-        """The warm sessions by fingerprint (introspection/tests)."""
+        """The sessions by fingerprint (introspection/tests)."""
         with self._lock:
             return dict(self._sessions)
 
@@ -155,36 +148,37 @@ class TranslationService:
             # The ingest boundary: a malformed program fails with a located
             # error instead of deep inside a pass.
             validate_function(function)
-            session = self._session(config)
-            result = session.translate(function)
-            ir_text = format_function(function)
-            seconds = time.perf_counter() - began
-            entry = CachedTranslation(
-                digest=digest,
-                fingerprint=fingerprint,
-                engine_name=config.name,
-                ir_text=ir_text,
-                seconds=seconds,
-                stats=asdict(result.stats),
-            )
-            warm_state = None
-            if self._warm:
-                warm_state = WarmState(
-                    function=function,
-                    analyses=session.warm_cache(function),
-                    session=session,
-                )
-            self.cache.store(entry, warm_state)
-            return ServiceResult(
-                digest=digest,
-                fingerprint=fingerprint,
-                engine=config.name,
-                ir_text=ir_text,
-                kind="cold",
-                seconds=seconds,
-                translate_seconds=seconds,
-                stats=dict(entry.stats),
-            )
+            return self._translate_and_store(function, digest, config, began, "cold")
+
+    def _translate_and_store(
+        self, function, digest: str, config: EngineConfig, began: float, kind: str
+    ) -> ServiceResult:
+        """Translate ``function`` in place, cache the result under ``digest``
+        with the function as its warm state, and answer the request.  The
+        caller holds the service lock."""
+        fingerprint = config.fingerprint()
+        result = self._session(config).translate(function)
+        ir_text = format_function(function)
+        seconds = time.perf_counter() - began
+        entry = CachedTranslation(
+            digest=digest,
+            fingerprint=fingerprint,
+            engine_name=config.name,
+            ir_text=ir_text,
+            seconds=seconds,
+            stats=asdict(result.stats),
+        )
+        self.cache.store(entry, WarmState(function))
+        return ServiceResult(
+            digest=digest,
+            fingerprint=fingerprint,
+            engine=config.name,
+            ir_text=ir_text,
+            kind=kind,
+            seconds=seconds,
+            translate_seconds=seconds,
+            stats=dict(entry.stats),
+        )
 
     def translate_function(self, function, engine: Optional[EngineLike] = None) -> ServiceResult:
         """Convenience for in-process callers holding a Function value.
@@ -202,17 +196,16 @@ class TranslationService:
         edit_log: EditLog,
         engine: Optional[EngineLike] = None,
     ) -> ServiceResult:
-        """Re-translate a hot function after in-place edits, warm.
+        """Re-translate a hot function after in-place edits.
 
         ``digest``/``engine`` name the warm state retained by a previous
-        cold translation; the caller has already applied its structural
-        edits to that state's function object and describes them with
-        ``edit_log``.  The retained ``check`` caches are patched from the
-        log, every other analysis is invalidated, the pipeline runs again
-        over the same analysis cache, and the result is stored under the
-        *edited* program's digest — exactly what a cold translation of the
-        edited text would have been keyed as, and property-tested
-        bit-identical to it.
+        translation; the caller has already applied its edits to that
+        state's function object and describes them with ``edit_log`` (which
+        nothing needs to read: the run is cold).  The edited function is
+        validated like any ingested program, translated by one ordinary
+        pipeline run, and stored under the *edited* program's digest —
+        exactly what a cold translation of the edited text would have been
+        keyed as, and property-tested bit-identical to it.
         """
         began = time.perf_counter()
         config = self._resolve(engine)
@@ -225,43 +218,16 @@ class TranslationService:
                     f"no warm state for digest {digest[:12]}… under engine "
                     f"{config.name!r} (cold-translate it first)"
                 )
-            session = self._session(config)
-            session.apply_edits(state.function, edit_log)
-            new_digest = function_digest(state.function)
             # The function now denotes the *edited* program: move the warm
-            # state off the old key (whose stored result text stays valid)
-            # so evicting that entry cannot drop the analysis cache the new
-            # key depends on, and a later retranslate of the old digest
-            # fails loudly instead of stacking edits silently.
+            # state off the old key (whose stored result text stays valid),
+            # so evicting that entry cannot drop the function the new key
+            # depends on, and a later retranslate of the old digest fails
+            # loudly instead of stacking edits silently.
             self.cache.detach_warm(digest, fingerprint)
-            result = session.translate(state.function)
-            ir_text = format_function(state.function)
-            seconds = time.perf_counter() - began
-            entry = CachedTranslation(
-                digest=new_digest,
-                fingerprint=fingerprint,
-                engine_name=config.name,
-                ir_text=ir_text,
-                seconds=seconds,
-                stats=asdict(result.stats),
-            )
-            warm_state = None
-            if self._warm:
-                warm_state = WarmState(
-                    function=state.function,
-                    analyses=session.warm_cache(state.function),
-                    session=session,
-                )
-            self.cache.store(entry, warm_state)
-            return ServiceResult(
-                digest=new_digest,
-                fingerprint=fingerprint,
-                engine=config.name,
-                ir_text=ir_text,
-                kind="warm",
-                seconds=seconds,
-                translate_seconds=seconds,
-                stats=dict(entry.stats),
+            function = state.function
+            validate_function(function)
+            return self._translate_and_store(
+                function, function_digest(function), config, began, "warm"
             )
 
     # -- verification -----------------------------------------------------------
@@ -274,10 +240,10 @@ class TranslationService:
         """Run the staged invariant checkers over one request's program.
 
         The program is re-parsed and translated through a *throwaway* checked
-        pipeline (never the warm session — verification must not perturb warm
-        state), and when the cache already holds a translation of the same
-        digest the cold result is compared against it: a mismatch is the
-        service-level diagnostic ``V601``.
+        pipeline (never a cached warm function — verification must not
+        perturb warm state), and when the cache already holds a translation
+        of the same digest the cold result is compared against it: a mismatch
+        is the service-level diagnostic ``V601``.
         """
         from dataclasses import replace as dc_replace
 
@@ -372,12 +338,9 @@ class TranslationService:
 
     # -- maintenance ------------------------------------------------------------
     def flush(self) -> int:
-        """Flush the cache and every warm session; returns entries dropped."""
+        """Flush the cache (warm states included); returns entries dropped."""
         with self._lock:
-            count = self.cache.flush()
-            for session in self._sessions.values():
-                session.flush_warm()
-            return count
+            return self.cache.flush()
 
     def stats_payload(self) -> Dict[str, object]:
         with self._lock:

@@ -89,13 +89,6 @@ def record_allocation(category: str, nbytes: int) -> None:
         tracker.allocate(category, nbytes)
 
 
-def record_free(category: str, nbytes: int) -> None:
-    """Report a release to this thread's installed tracker (if any)."""
-    tracker = getattr(_CURRENT, "tracker", None)
-    if tracker is not None:
-        tracker.free(category, nbytes)
-
-
 @contextlib.contextmanager
 def track_allocations(tracker: Optional[AllocationTracker] = None) -> Iterator[AllocationTracker]:
     """Install ``tracker`` (or a fresh one) as this thread's allocation sink."""

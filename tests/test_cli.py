@@ -67,6 +67,22 @@ class TestTranslate:
         assert "phi" not in captured.out
         assert "engine" in captured.err
 
+    def test_parse_error_is_a_one_line_system_exit(self, tmp_path):
+        path = tmp_path / "bad.ir"
+        path.write_text("function f(a) {\n  entry:\n    x = add a, @\n    ret x\n}\n")
+        with pytest.raises(SystemExit, match=r"^repro: .*bad\.ir: line 3: bad operand '@'"):
+            main(["translate", str(path)])
+
+    def test_pin_on_a_multiply_defined_variable_is_a_one_line_system_exit(self, tmp_path):
+        from tests.test_pinning import _PINNED_TWICE
+
+        path = tmp_path / "pinned.ir"
+        path.write_text(_PINNED_TWICE)
+        with pytest.raises(
+            SystemExit, match=r"^repro: .*pinned\.ir: f:left: pinned variable 'x' \(register r1\)"
+        ):
+            main(["translate", str(path), "--construct-ssa"])
+
     def test_unknown_engine_is_a_clean_system_exit(self, lost_copy_file):
         with pytest.raises(SystemExit, match="unknown engine 'bogus'"):
             main(["translate", lost_copy_file, "--engine", "bogus"])

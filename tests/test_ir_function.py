@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ir.builder import FunctionBuilder
+from repro.ir.editlog import EditLog
 from repro.ir.function import Function
 from repro.ir.instructions import Copy, Jump, Op, ParallelCopy, Phi, Variable
 from repro.ir.positions import (
@@ -168,3 +169,21 @@ class TestPositions:
         other = ProgramPoint("body", 2)
         assert early.dominates(other, domtree)
         assert not other.dominates(early, domtree)
+
+
+class TestEditLog:
+    def test_collects_blocks_and_variables(self):
+        log = EditLog()
+        a, b = Variable("a"), Variable("b")
+        log.copy_inserted("entry", a, b)
+        log.block_split("entry", "join", "entry_join.1")
+        log.block_rewritten("join", [b])
+        assert [edit.blocks for edit in log] == [
+            ("entry",), ("entry", "entry_join.1", "join"), ("join",)
+        ]
+        assert log.affected_variables() == [a, b]
+        assert len(log) == 3 and bool(log)
+
+    def test_empty_log_is_falsy(self):
+        log = EditLog()
+        assert not log and len(log) == 0

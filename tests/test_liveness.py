@@ -5,7 +5,6 @@ import pytest
 from repro.bench.corpus import CorpusSpec, generate_stress_cfg
 from repro.cfg.dominance import DominatorTree
 from repro.cfg.traversal import reverse_postorder
-from repro.ir.editlog import EditLog
 from repro.ir.instructions import Variable
 from repro.ir.positions import DefUseIndex, terminator_index
 from repro.liveness.bitsets import BitLivenessSets
@@ -160,7 +159,7 @@ class TestIndexNumbering:
 class TestLivenessChecker:
     @pytest.mark.parametrize("maker", [loop_function, diamond_function,
                                        figure1_branch_use, figure3_swap_problem,
-                                       figure4_lost_copy_problem])
+                                       figure4_lost_copy_problem, irreducible_ssa_function])
     def test_matches_dataflow_sets(self, maker):
         function = maker()
         sets = LivenessSets(function)
@@ -178,29 +177,6 @@ class TestLivenessChecker:
                 for var in function.variables():
                     assert sets.is_live_in(block, var) == checker.is_live_in(block, var)
                     assert sets.is_live_out(block, var) == checker.is_live_out(block, var)
-
-    @pytest.mark.parametrize("maker", [loop_function, irreducible_ssa_function])
-    def test_matches_dataflow_sets_after_block_splits(self, maker):
-        """Warm walk caches patched through ``BLOCK_SPLIT`` edits answer like
-        a cold ``LivenessSets`` of the split function."""
-        function = maker()
-        checker = LivenessChecker(function)
-        for block in function.blocks:
-            for var in function.variables():
-                checker.is_live_in(block, var)
-                checker.is_live_out(block, var)
-        log = EditLog()
-        joins = [label for label in function.blocks if len(function.predecessors(label)) > 1]
-        for target in joins:
-            for source in list(function.predecessors(target)):
-                log.block_split(source, target, function.split_edge(source, target).label)
-        assert len(log) >= 2
-        checker.apply_edits(log)
-        sets = LivenessSets(function)
-        for block in function.blocks:
-            for var in function.variables():
-                assert sets.is_live_in(block, var) == checker.is_live_in(block, var), (block, var)
-                assert sets.is_live_out(block, var) == checker.is_live_out(block, var), (block, var)
 
     def test_cfg_only_footprint(self):
         function = loop_function()

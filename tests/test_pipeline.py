@@ -39,6 +39,7 @@ from repro.pipeline import (
     Session,
     resolve_engine,
 )
+from repro.pipeline.analysis import StaleAnalysisError
 from repro.pipeline.phases import (
     build_rename_map,
     candidate_universe,
@@ -47,7 +48,7 @@ from repro.pipeline.phases import (
 )
 from repro.ssa.values import ValueTable
 from repro.utils.instrument import AllocationTracker, track_allocations
-from tests.helpers import generated_programs, loop_function, non_ssa_max_function
+from tests.helpers import diamond_function, generated_programs, loop_function, non_ssa_max_function
 
 
 # --------------------------------------------------------------------------- legacy reference
@@ -396,7 +397,22 @@ class TestAnalysisCache:
 
 class TestOneDefUseWalk:
     """Every consumer of def/use positions in a translation reads the cache's
-    one :class:`DefUseIndex`; nothing walks ``Function.variables`` again."""
+    one :class:`DefUseIndex`; nothing walks ``Function.variables`` again, and
+    no layer builds a private index — whoever owns the cache, and on the
+    service's re-translation path too."""
+
+    @staticmethod
+    def _index_builds(action) -> int:
+        built = []
+        original = DefUseIndex.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        with mock.patch.object(DefUseIndex, "__init__", counting):
+            action()
+        return len(built)
 
     @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
     def test_one_index_per_translation_and_no_variables_walk(self, config):
@@ -407,8 +423,90 @@ class TestOneDefUseWalk:
                 Function, "variables", side_effect=AssertionError("Function.variables walked")
             )
             with walked:
-                Pipeline.for_engine(config).run(function, cache=cache)
+                builds = self._index_builds(
+                    lambda: Pipeline.for_engine(config).run(function, cache=cache)
+                )
             assert cache.constructions[DefUseIndex] == 1
+            assert builds == 1
+
+    @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
+    def test_one_index_per_plain_run(self, config):
+        for function in [figure2_branch_with_decrement()] + generated_programs(count=2, size=30):
+            assert self._index_builds(lambda: Pipeline.for_engine(config).run(function)) == 1
+
+    @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
+    def test_one_index_per_retranslation(self, config):
+        from repro.bench.corpus import CorpusSpec, generate_stress_cfg, random_edit_batch
+        from repro.service import TranslationService
+
+        service = TranslationService(config)
+        first = service.translate_function(
+            generate_stress_cfg(CorpusSpec(seed=13, blocks=40, variables=6))
+        )
+        state = service.cache.warm_state(first.digest, first.fingerprint)
+        log = random_edit_batch(state.function, seed=5)
+        assert self._index_builds(lambda: service.retranslate(first.digest, log, config)) == 1
+
+
+class TestGenerationGuard:
+    def test_undeclared_mutation_raises(self):
+        function = diamond_function()
+        cache = AnalysisCache(function)
+        cache.get(BitLivenessSets)
+        function.split_edge("entry", "left")  # mutate without invalidating
+        with pytest.raises(StaleAnalysisError):
+            cache.get(BitLivenessSets)
+
+    def test_cached_is_the_unchecked_escape_hatch(self):
+        function = diamond_function()
+        cache = AnalysisCache(function)
+        live = cache.get(BitLivenessSets)
+        function.split_edge("entry", "left")
+        assert cache.cached(BitLivenessSets) is live
+
+    def test_preserve_vouches_and_restamps(self):
+        function = diamond_function()
+        cache = AnalysisCache(function)
+        index = cache.get(DefUseIndex)
+        function.split_edge("entry", "left")
+        cache.preserve(DefUseIndex)
+        assert cache.get(DefUseIndex) is index
+
+    def test_invalidate_clears_the_stamp(self):
+        function = diamond_function()
+        cache = AnalysisCache(function)
+        cache.get(BitLivenessSets)
+        function.split_edge("entry", "left")
+        cache.invalidate(BitLivenessSets, DefUseIndex)
+        # A rebuild at the current generation serves cleanly.
+        rebuilt = cache.get(BitLivenessSets)
+        assert rebuilt is cache.get(BitLivenessSets)
+
+    def test_rebuild_over_a_stale_def_use_index_raises(self):
+        # The liveness rows and the arena are rebuilt, but the def/use index
+        # they read was computed before the edit and not invalidated.
+        function = diamond_function()
+        cache = AnalysisCache(function)
+        cache.get(BitLivenessSets)
+        function.split_edge("entry", "left")
+        cache.invalidate(BitLivenessSets, FlatFunction)
+        with pytest.raises(StaleAnalysisError, match="DefUseIndex"):
+            cache.get(BitLivenessSets)
+
+    def test_generation_advances_on_cfg_edits(self):
+        function = diamond_function()
+        before = function.generation
+        function.split_edge("entry", "left")
+        assert function.generation > before
+
+    def test_read_only_validation_does_not_invalidate(self):
+        from repro.ir.validate import validate_function
+
+        function = diamond_function()
+        cache = AnalysisCache(function)
+        live = cache.get(BitLivenessSets)
+        validate_function(function)  # read-only: must not look like a mutation
+        assert cache.get(BitLivenessSets) is live
 
 
 class TestInvalidationDuringRuns:
@@ -437,15 +535,15 @@ class TestInvalidationDuringRuns:
         assert set(fresh.idom) == set(function.blocks)
         assert not set(stale.idom) >= set(function.blocks)
 
-    def test_full_run_leaves_no_cached_analyses(self):
+    @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
+    def test_full_run_leaves_no_cached_analyses(self, config):
         function = loop_function()
-        config = engine_by_name("us_i")
         cache = AnalysisCache(function, config)
         stale = cache.get(DominatorTree)
         Pipeline.for_engine(config).run(function, cache=cache)
-        # Materialization rewrote the function: nothing may survive.
-        assert cache.cached(DominatorTree) is None
-        assert cache.cached(BitLivenessSets) is None
+        # Materialization rewrote the function: nothing may survive, the
+        # liveness checker of the LiveCheck engines included.
+        assert [t.__name__ for t in cache.known_types() if t in cache] == []
         fresh = cache.get(DominatorTree)
         assert fresh is not stale
         assert fresh.idom == DominatorTree(function).idom

@@ -7,7 +7,6 @@ from repro.bench.harness import Figure5Row, Figure6Row, Figure7Row
 from repro.bench.reporting import format_figure5, format_figure6, format_figure7
 from repro.coalescing.variants import VARIANTS
 from repro.outofssa.driver import ENGINE_CONFIGURATIONS
-from repro.regalloc.linear_scan import Location
 
 
 class TestTopLevelAPI:
@@ -85,19 +84,6 @@ class TestReportFormatting:
 
 
 class TestSmallLeftovers:
-    def test_location_str_and_kind(self):
-        register = Location("register", "R3")
-        slot = Location("stack", "slot2")
-        assert str(register) == "R3" and register.is_register
-        assert str(slot) == "slot2" and not slot.is_register
-
-    def test_interval_repr_mentions_pin(self):
-        from repro.ir.instructions import Variable
-        from repro.regalloc.intervals import LiveInterval
-
-        interval = LiveInterval(Variable("x"), 1, 4, pinned="R0")
-        assert "pin=R0" in repr(interval)
-
     def test_copy_counts_weighting_uses_block_frequencies(self):
         from repro.bench.metrics import copy_counts
         from repro.gallery import figure4_lost_copy_problem

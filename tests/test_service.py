@@ -6,13 +6,8 @@ import pytest
 
 from repro.bench.corpus import CorpusSpec, generate_stress_cfg, random_edit_batch
 from repro.bench.generator import GeneratorConfig, generate_ssa_program
-from repro.cfg.dominance import DominatorTree
-from repro.interference.graph import MatrixInterference
 from repro.ir import format_function, parse_function, text_digest
 from repro.ir.parser import ParseError
-from repro.liveness.bitsets import BitLivenessSets
-from repro.liveness.intersection import IntersectionOracle
-from repro.liveness.livecheck import LivenessChecker
 from repro.outofssa.config import ENGINE_CONFIGURATIONS, EngineConfig, engine_by_name
 from repro.pipeline import Pipeline, Session
 from repro.service import (
@@ -116,76 +111,45 @@ class TestTranslationCache:
         assert cache.flush() == 2
         assert len(cache) == 0 and cache.stats().flushes == 1
 
-    def test_eviction_releases_the_warm_session_state(self):
+    def test_eviction_drops_the_warm_state(self):
         service = TranslationService("us_i", capacity=1)
         first = service.translate_text(program_text(1))
-        session = service.sessions()[first.fingerprint]
-        assert len(session._warm_caches) == 1
+        assert service.cache.warm_state(first.digest, first.fingerprint) is not None
         service.translate_text(program_text(2))  # evicts the first entry
-        assert len(session._warm_caches) == 1    # old function was forgotten
+        assert service.cache.warm_state(first.digest, first.fingerprint) is None
+        assert service.cache.stats().warm_states == 1
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             TranslationCache(capacity=-1)
 
 
-# --------------------------------------------------------------------------- warm sessions
-class TestWarmSession:
-    def test_warm_session_reuses_the_analysis_cache(self):
-        session = Session("us_i", warm=True)
+# --------------------------------------------------------------------------- sessions
+class TestSessionRetainsNothing:
+    def test_a_translated_function_is_not_kept_alive(self):
+        import gc
+        import weakref
+
+        session = Session("us_i_linear_intercheck_livecheck")
         function = parse_function(program_text(3))
         session.translate(function)
-        cache = session.warm_cache(function)
-        assert cache is not None
-        session.translate(function)  # re-translation of the same (hot) object
-        assert session.warm_reuses == 1
-        assert session.warm_cache(function) is cache
+        alive = weakref.ref(function)
+        del function
+        gc.collect()
+        assert alive() is None
 
-    def test_cold_session_retains_nothing(self):
-        session = Session("us_i")
+    def test_apply_edits_is_a_no_op_before_a_cold_run(self):
+        config = engine_by_name("us_i_linear_intercheck_livecheck")
         function = parse_function(program_text(3))
+        session = Session(config)
         session.translate(function)
-        assert session.warm_cache(function) is None
-
-    def test_apply_edits_requires_a_warm_cache(self):
-        session = Session("us_i", warm=True)
-        function = parse_function(program_text(3))
-        with pytest.raises(KeyError, match="no warm analysis cache"):
-            session.apply_edits(function, None)
-
-    def test_apply_edits_patches_the_checker_and_rebuilds_the_rest(self):
-        session = Session("us_i_linear_intercheck_livecheck", warm=True)
-        function = parse_function(program_text(3))
+        log = random_edit_batch(function, seed=5)
+        edited = function.copy()
+        session.apply_edits(function, log)
+        assert format_function(function) == format_function(edited)
         session.translate(function)
-        cache = session.warm_cache(function)
-        checker = cache.cached(LivenessChecker)
-        assert checker is not None
-        session.apply_edits(function, random_edit_batch(function, seed=5))
-        assert cache.cached(LivenessChecker) is checker
-        session.translate(function)
-        assert cache.cached(LivenessChecker) is checker
-        assert cache.constructions[LivenessChecker] == 1
-        assert cache.constructions[DominatorTree] == 2
-        assert cache.constructions[IntersectionOracle] == 2
-
-    def test_apply_edits_rebuilds_every_bitset_analysis_cold(self):
-        session = Session("us_i", warm=True)
-        function = parse_function(program_text(3))
-        session.translate(function)
-        cache = session.warm_cache(function)
-        session.apply_edits(function, random_edit_batch(function, seed=5))
-        session.translate(function)
-        assert cache.constructions[BitLivenessSets] == 2
-        assert cache.constructions[MatrixInterference] == 2
-        assert set(cache.constructions.values()) == {2}
-
-    def test_forget_and_flush_warm(self):
-        session = Session("us_i", warm=True)
-        functions = [parse_function(program_text(seed)) for seed in (1, 2)]
-        session.translate_many(functions)
-        assert session.forget(functions[0]) is True
-        assert session.forget(functions[0]) is False
-        assert session.flush_warm() == 1
+        Session(config).translate(edited)
+        assert format_function(function) == format_function(edited)
 
 
 # --------------------------------------------------------------------------- the service worker
@@ -229,6 +193,23 @@ class TestTranslationService:
         with pytest.raises(KeyError, match="no warm state"):
             service.retranslate("0" * 64, None)
 
+    def test_retranslate_validates_the_edited_function(self):
+        """An edit that breaks the CFG fails at the ingest check with a
+        located error, not with a bare KeyError from inside a pass."""
+        from repro.ir.editlog import EditLog
+        from repro.ir.instructions import Jump
+        from repro.ir.validate import ValidationError
+
+        service = TranslationService("us_i")
+        first = service.translate_text(program_text(3))
+        function = service.cache.warm_state(first.digest, first.fingerprint).function
+        label = next(
+            block.label for block in function if isinstance(block.terminator, Jump)
+        )
+        function.blocks[label].terminator = Jump("nowhere")
+        with pytest.raises(ValidationError, match=rf"{label}.*'nowhere'"):
+            service.retranslate(first.digest, EditLog())
+
     def test_flush_resets_cache_and_sessions(self):
         service = TranslationService("us_i")
         service.translate_text(program_text(4))
@@ -249,8 +230,6 @@ class TestTranslationService:
         service = TranslationService("us_i", capacity=0)
         for seed in range(5):
             service.translate_text(program_text(seed, size=16))
-        for session in service.sessions().values():
-            assert len(session._warm_caches) == 0
         assert service.cache.stats().warm_states == 0
 
     def test_hit_stats_are_caller_owned_copies(self):
