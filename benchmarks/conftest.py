@@ -6,10 +6,14 @@ experiments ran over all of SPEC CINT2000, which we scale down so the whole
 benchmark run finishes in a couple of minutes; raising the scale grows every
 generated function and the number of functions per benchmark.
 
-Every ``test_figure*`` module also writes the regenerated table to
-``benchmarks/results/`` so the tables (see the Experiments section of
-README.md) can be reproduced with a single
-``pytest benchmarks/ --benchmark-only`` run.
+The tables under ``benchmarks/results/`` (see the Experiments section of
+README.md) come from two runs.  ``pytest benchmarks`` (part of tier-1)
+rewrites the deterministic ones: Figure 5's copies, Figure 7's bytes and the
+ablations' counts, identical on every run at a given scale.  The timing
+tables (Figure 6, the headline, verify overhead, pipelined serving) are
+rewritten only by ``pytest benchmarks/timing_floors.py``, the nightly lane
+that holds every wall-clock floor; ``REPRO_STRESS_SCALE`` (default ``1.0``)
+multiplies the stress-corpus sizes both runs use.
 """
 
 import os
@@ -40,6 +44,10 @@ def pytest_collection_modifyitems(config, items):
 
 def bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
+
+
+def stress_scale() -> float:
+    return float(os.environ.get("REPRO_STRESS_SCALE", "1.0"))
 
 
 @pytest.fixture(scope="session")

@@ -5,36 +5,22 @@ speed of Method III of Sreedhar et al. by a factor of 2, reduces the memory
 footprint by a factor of 10, while ensuring comparable or better copy
 coalescing abilities."
 
-This module aggregates the three experiments into one summary, records it, and
-asserts the *direction* (and a conservative fraction of the magnitude) of each
-claim.
+This module checks the two claims the code decides — the measured memory
+reduction (Figure 7's rows) and the remaining-copies ratio (Figure 5's) —
+with no timed run behind them.  The speed-up is a wall-clock reading: its
+floor, ``headline_summary`` and the ``headline_claims.txt`` table are in
+``benchmarks/timing_floors.py``, outside tier-1.
 """
 
-import os
+from repro.bench.harness import run_figure5, run_figure7
+from repro.outofssa.driver import engine_by_name
 
-from benchmarks.conftest import write_result
-from repro.bench.harness import headline_summary
+FAST, BASELINE = "us_i_linear_intercheck_livecheck", "sreedhar_iii"
 
 
-def test_headline_summary(benchmark, small_suite, results_dir):
-    summary = benchmark.pedantic(
-        headline_summary, args=(small_suite,), rounds=1, iterations=1
-    )
-
-    text = (
-        "Headline claims (synthetic suite, see README.md, Experiments)\n"
-        f"  speed-up vs Sreedhar III:          {summary.speedup_vs_sreedhar:.2f}x  (paper: ~2x)\n"
-        f"  memory reduction vs Sreedhar III:  {summary.memory_reduction_vs_sreedhar:.1f}x  (paper: ~10x)\n"
-        f"  remaining copies (Value / Sreedhar III): {summary.copies_ratio_vs_sreedhar:.3f}  (paper: comparable or better)\n"
-    )
-    write_result(results_dir, "headline_claims.txt", text)
-
-    # The Sreedhar III baseline now runs on the bit-set liveness backend (as
-    # in the paper), so the honest speed gap is smaller than against the old
-    # ordered-set strawman baseline — and on this three-benchmark subset it is
-    # thinner (and noisier) than the full-suite margin test_figure6_speed.py
-    # enforces, so this floor is directional only.  REPRO_SPEED_RATIO_MIN
-    # lowers it further on shared CI runners.
-    assert summary.speedup_vs_sreedhar > float(os.environ.get("REPRO_SPEED_RATIO_MIN", "1.05"))
-    assert summary.memory_reduction_vs_sreedhar > 4.0
-    assert summary.copies_ratio_vs_sreedhar < 1.05
+def test_headline_memory_and_copies(small_suite):
+    engines = [engine_by_name(BASELINE), engine_by_name(FAST)]
+    memory = next(row for row in run_figure7(small_suite, engines) if row.metric == "total")
+    quality = next(row for row in run_figure5(small_suite) if row.benchmark == "sum")
+    assert memory.measured[BASELINE] / memory.measured[FAST] > 4.0
+    assert quality.static_copies["value"] / quality.static_copies["sreedhar_iii"] < 1.05

@@ -25,6 +25,7 @@ from repro.coalescing.variants import VARIANTS, CoalescingVariant
 from repro.ir.function import Function
 from repro.outofssa.config import ENGINE_CONFIGURATIONS, EngineConfig
 from repro.pipeline import Session
+from repro.pipeline.pipeline import EngineLike
 
 
 def _figure5_engine(variant: CoalescingVariant) -> EngineConfig:
@@ -269,147 +270,6 @@ def headline_summary(
         memory_reduction_vs_sreedhar=memory_reduction,
         copies_ratio_vs_sreedhar=copies_ratio,
     )
-
-
-# --------------------------------------------------------------------------- service throughput
-@dataclass
-class ServiceThroughputRow:
-    """Requests/second of one service mode over one request stream."""
-
-    mode: str
-    requests: int = 0
-    unique: int = 0
-    hits: int = 0
-    seconds: float = 0.0
-    #: vs the cold row of the same experiment (1.0 for the cold row itself).
-    speedup_vs_cold: float = 1.0
-
-    @property
-    def requests_per_second(self) -> float:
-        return self.requests / self.seconds if self.seconds else 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
-
-
-def service_request_stream(
-    blocks: int = 5000,
-    functions: int = 3,
-    repeat: int = 6,
-    seed: int = 0,
-    scale: float = 1.0,
-    loop_depth: int = 4,
-    variables: int = 10,
-) -> List[str]:
-    """A repeat-heavy request stream over the stress corpus.
-
-    ``functions`` distinct stress CFGs of ``blocks * scale`` blocks each,
-    printed to text and round-robined ``repeat`` times — the JIT-shaped
-    traffic profile where a few hot functions dominate: every program after
-    the first round is a re-request of something already translated.
-    """
-    from repro.bench.corpus import CorpusSpec, generate_stress_cfg
-    from repro.ir.printer import format_function
-
-    texts = []
-    for index in range(functions):
-        spec = CorpusSpec(
-            name="serve",
-            seed=seed + index,
-            blocks=max(64, int(blocks * scale)),
-            loop_depth=loop_depth,
-            variables=variables,
-        )
-        texts.append(format_function(generate_stress_cfg(spec)))
-    return [texts[i % len(texts)] for i in range(len(texts) * max(1, repeat))]
-
-
-def run_service_throughput(
-    blocks: int = 5000,
-    functions: int = 3,
-    repeat: int = 6,
-    shards: int = 4,
-    engine: str = "us_i",
-    scale: float = 1.0,
-    seed: int = 0,
-    stream: Optional[List[str]] = None,
-) -> List[ServiceThroughputRow]:
-    """Cold vs warm vs sharded requests/second over the stress corpus.
-
-    Three service configurations run the *same* repeat-heavy stream:
-
-    * ``cold`` — a service with caching disabled (``capacity=0``): every
-      request parses and translates, the baseline a batch pipeline pays;
-    * ``warm`` — one content-addressed cache: the first occurrence of each
-      program translates cold, every repeat is a hit;
-    * ``sharded[N]`` — the :class:`~repro.service.scheduler.ShardedScheduler`
-      over N digest-affine warm shards, batch-submitted.
-
-    All three produce bit-identical responses (asserted here on every run);
-    the rows report wall-clock seconds, requests/second and hit rate.
-    """
-    from repro.service.scheduler import ShardedScheduler
-    from repro.service.translator import TranslationService
-
-    if stream is None:
-        stream = service_request_stream(
-            blocks=blocks, functions=functions, repeat=repeat, seed=seed, scale=scale
-        )
-    unique = len(set(stream))
-    rows: List[ServiceThroughputRow] = []
-
-    cold_service = TranslationService(engine, capacity=0)
-    began = time.perf_counter()
-    cold_results = [cold_service.translate_text(text) for text in stream]
-    cold_seconds = time.perf_counter() - began
-    rows.append(
-        ServiceThroughputRow(
-            mode="cold", requests=len(stream), unique=unique, hits=0,
-            seconds=cold_seconds,
-        )
-    )
-
-    warm_service = TranslationService(engine)
-    began = time.perf_counter()
-    warm_results = [warm_service.translate_text(text) for text in stream]
-    warm_seconds = time.perf_counter() - began
-    rows.append(
-        ServiceThroughputRow(
-            mode="warm", requests=len(stream), unique=unique,
-            hits=sum(1 for result in warm_results if result.cached),
-            seconds=warm_seconds,
-            speedup_vs_cold=(cold_seconds / warm_seconds) if warm_seconds else 0.0,
-        )
-    )
-
-    scheduler = ShardedScheduler(engine, shards=shards)
-    began = time.perf_counter()
-    sharded_results = scheduler.translate_batch(stream)
-    sharded_seconds = time.perf_counter() - began
-    rows.append(
-        ServiceThroughputRow(
-            mode=f"sharded[{shards}]", requests=len(stream), unique=unique,
-            hits=sum(1 for result in sharded_results if result.cached),
-            seconds=sharded_seconds,
-            speedup_vs_cold=(cold_seconds / sharded_seconds) if sharded_seconds else 0.0,
-        )
-    )
-
-    # The throughput claim is only meaningful if all three modes answered
-    # every request identically — check it on every run, like the stress
-    # experiments check bit-identity inside their timing loops.
-    for index in range(len(stream)):
-        if not (
-            cold_results[index].ir_text
-            == warm_results[index].ir_text
-            == sharded_results[index].ir_text
-        ):
-            raise AssertionError(
-                f"service modes diverged on request {index} "
-                f"(digest {cold_results[index].digest[:12]})"
-            )
-    return rows
 
 
 # --------------------------------------------------------------------------- service concurrency

@@ -112,32 +112,6 @@ def format_figure7(rows: List[Figure7Row]) -> str:
     return _format_table(headers, table_rows)
 
 
-def format_service_throughput(rows) -> str:
-    """The service throughput experiment: cold vs warm vs sharded.
-
-    One line per service mode over the same repeat-heavy request stream;
-    ``speedup`` is each mode's wall-clock against the cold (cache-disabled)
-    baseline, and ``hit rate`` the fraction of requests answered from the
-    content-addressed cache without parsing or translating anything.
-    """
-    headers = [
-        "mode", "requests", "unique", "hits", "hit rate", "seconds", "req/s", "speedup",
-    ]
-    table_rows = []
-    for row in rows:
-        table_rows.append([
-            row.mode,
-            str(row.requests),
-            str(row.unique),
-            str(row.hits),
-            f"{row.hit_rate * 100:.0f}%",
-            f"{row.seconds:.3f}",
-            f"{row.requests_per_second:.1f}",
-            f"{row.speedup_vs_cold:.1f}x",
-        ])
-    return _format_table(headers, table_rows)
-
-
 def format_service_concurrency(rows) -> str:
     """The concurrent-clients experiment: blocking vs pipelined serving.
 

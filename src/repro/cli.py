@@ -20,11 +20,10 @@ Commands
     Run the translation daemon: a sharded scheduler with content-addressed
     warm caches behind a newline-delimited-JSON socket (see docs/SERVICE.md).
 ``request``
-    Drive a running daemon: ``translate`` one or more IR files, or issue the
-    ``stats`` / ``flush`` / ``ping`` / ``shutdown`` maintenance verbs.
-``bench-serve``
-    The service throughput experiment: cold vs warm vs sharded requests/sec
-    over a repeat-heavy stream from the stress corpus.
+    Drive a running daemon: ``translate`` each IR file as one request,
+    ``translate_batch`` them as one streamed batch, or issue the ``verify`` /
+    ``stats`` / ``metrics`` / ``flush`` / ``ping`` / ``shutdown`` verbs.
+    (The daemon is timed by ``perfbench/run.py --workload serve``.)
 ``list``
     List the available engine configurations, coalescing strategies,
     liveness backends and interference backends (``--json`` emits the same
@@ -44,8 +43,6 @@ from repro.bench.harness import (
     run_figure5,
     run_figure6,
     run_figure7,
-    run_service_concurrency,
-    run_service_throughput,
     run_verify_stress,
 )
 from repro.bench.metrics import copy_counts
@@ -53,8 +50,6 @@ from repro.bench.reporting import (
     format_figure5,
     format_figure6,
     format_figure7,
-    format_service_concurrency,
-    format_service_throughput,
     format_verify_stress,
 )
 from repro.bench.suite import SUITE, build_suite
@@ -364,7 +359,10 @@ def command_request(args: argparse.Namespace) -> int:
                 for path in args.files:
                     with open(path) as handle:
                         texts.append(handle.read())
-                responses = client.translate_batch(texts, engine=args.engine)
+                if verb == "translate":
+                    responses = [client.translate(text, engine=args.engine) for text in texts]
+                else:
+                    responses = client.translate_batch(texts, engine=args.engine)
                 for path, response in zip(args.files, responses):
                     print(response["ir"], end="")
                     print(
@@ -398,40 +396,6 @@ def command_request(args: argparse.Namespace) -> int:
                 print("daemon stopping")
     except (ServiceError, OSError) as error:
         raise SystemExit(f"repro request: {error}") from None
-    return 0
-
-
-def command_bench_serve(args: argparse.Namespace) -> int:
-    try:
-        rows = run_service_throughput(
-            blocks=args.blocks,
-            functions=args.functions,
-            repeat=args.repeat,
-            shards=args.shards,
-            engine=args.engine,
-            scale=args.scale,
-            seed=args.seed,
-        )
-    except KeyError as error:
-        message = error.args[0] if error.args else str(error)
-        raise SystemExit(f"repro bench-serve: {message}") from None
-    table = format_service_throughput(rows)
-    if args.clients:
-        concurrency_rows = run_service_concurrency(
-            clients=args.clients,
-            blocks=args.blocks,
-            functions=args.functions,
-            engine=args.engine,
-            shards=args.shards,
-            scale=args.scale,
-            seed=args.seed,
-        )
-        table += "\n\n" + format_service_concurrency(concurrency_rows)
-    print(table)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(table + "\n")
-        print(f"# written to {args.output}", file=sys.stderr)
     return 0
 
 
@@ -628,30 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     request.add_argument("--timeout", type=float, default=60.0,
                          help="socket timeout in seconds")
     request.set_defaults(handler=command_request)
-
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="service throughput experiment: cold vs warm vs sharded req/s",
-    )
-    bench_serve.add_argument("--blocks", type=int, default=5000,
-                             help="stress-CFG size per request function")
-    bench_serve.add_argument("--functions", type=int, default=3,
-                             help="distinct hot functions in the stream")
-    bench_serve.add_argument("--repeat", type=int, default=6,
-                             help="times the stream revisits each function")
-    bench_serve.add_argument("--shards", type=int, default=4,
-                             help="shards for the sharded row")
-    bench_serve.add_argument("--engine", default="us_i",
-                             help="engine configuration (see 'repro list')")
-    bench_serve.add_argument("--scale", type=float, default=1.0,
-                             help="multiply the corpus size (quick runs: 0.1)")
-    bench_serve.add_argument("--clients", type=int, default=0,
-                             help="also run the pipelined concurrent-clients "
-                                  "experiment with this many connections (0 skips)")
-    bench_serve.add_argument("--seed", type=int, default=0, help="corpus base seed")
-    bench_serve.add_argument("--output", default=None,
-                             help="also write the table to this file")
-    bench_serve.set_defaults(handler=command_bench_serve)
 
     listing = sub.add_parser("list", help="list engines, strategies, liveness backends, benchmarks")
     listing.add_argument("--json", action="store_true",

@@ -178,15 +178,6 @@ class ShardedScheduler:
             self._account_seconds(shard, time.perf_counter() - began)
         return served
 
-    def translate_batch(
-        self, texts: Sequence[str], engine: Optional[EngineLike] = None
-    ) -> List[ServiceResult]:
-        """Serve a batch in input order, each item on its affine shard.
-
-        A bad item raises; use :meth:`stream_shard` for per-item errors.
-        """
-        return [self.translate(text, engine) for text in texts]
-
     # -- accounting --------------------------------------------------------------
     def _account(self, shard: int, result: ServiceResult, seconds: float) -> None:
         with self._stats_lock:

@@ -206,25 +206,21 @@ class TestListJson:
 
 
 class TestServiceCommands:
-    def test_bench_serve_prints_and_writes_the_table(self, tmp_path, capsys):
-        path = tmp_path / "serve.txt"
-        assert main([
-            "bench-serve", "--blocks", "150", "--functions", "2", "--repeat", "3",
-            "--shards", "2", "--scale", "1.0", "--output", str(path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "cold" in out and "warm" in out and "sharded[2]" in out
-        assert "hit rate" in path.read_text()
-
-    def test_bench_serve_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit, match="unknown engine"):
-            main(["bench-serve", "--engine", "bogus", "--blocks", "80"])
+    def test_retired_bench_serve_command_is_rejected(self, capsys):
+        """The in-process throughput experiment is gone; the daemon is timed
+        by perfbench's ``serve`` workload."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench-serve", "--blocks", "80"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench-serve'" in capsys.readouterr().err
 
     def test_serve_rejects_unknown_engine(self):
         with pytest.raises(SystemExit, match="unknown engine"):
             main(["serve", "--engine", "bogus"])
 
     def test_request_drives_a_live_daemon(self, lost_copy_file, capsys):
+        import json
+
         from repro.service.server import TranslationServer
 
         server = TranslationServer(engine="us_i", shards=1)
@@ -242,6 +238,13 @@ class TestServiceCommands:
             assert main(["request", "translate", lost_copy_file, "--port", port]) == 0
             assert "cache hit" in capsys.readouterr().err
 
+            # Each file went out as a single ``translate`` request, so the
+            # repeat was served on the daemon's inline hit path.
+            assert main(["request", "metrics", "--port", port]) == 0
+            metrics = json.loads(capsys.readouterr().out)["metrics"]
+            assert metrics["counters"].get("inline_hits_total", 0) >= 1
+            assert "latency_translate" in metrics["latency"]
+
             assert main(["request", "stats", "--port", port]) == 0
             assert '"requests"' in capsys.readouterr().out
 
@@ -257,13 +260,9 @@ class TestServiceCommands:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --parallel-coalescing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["serve", "--mode", "thread"],
-        ["bench-serve", "--mode", "serial"],
-    ])
-    def test_removed_mode_option_is_rejected(self, argv, capsys):
+    def test_removed_mode_option_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            main(["serve", "--mode", "thread"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --mode" in capsys.readouterr().err
 

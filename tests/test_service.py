@@ -281,10 +281,10 @@ class TestShardedScheduler:
         assert shard_of(digest, 4) == shard_of(digest, 4)
         assert shard_of(digest, 1) == 0
 
-    def test_batch_keeps_input_order_and_each_repeat_hits(self):
+    def test_requests_route_by_digest_and_each_repeat_hits(self):
         texts = [program_text(seed, size=18) for seed in range(4)] * 2
         scheduler = ShardedScheduler("us_i", shards=2)
-        results = scheduler.translate_batch(texts)
+        results = [scheduler.translate(text) for text in texts]
         assert [result.ir_text for result in results] == [
             TranslationService("us_i").translate_text(text).ir_text for text in texts
         ]
@@ -296,10 +296,12 @@ class TestShardedScheduler:
         assert payload["requests"] == len(texts)
         assert payload["hits"] == 4  # each program repeats exactly once
 
-    def test_batch_raises_on_a_bad_item(self):
+    def test_a_bad_request_raises_and_leaves_the_shards_serving(self):
         scheduler = ShardedScheduler("us_i", shards=2)
         with pytest.raises(ParseError):
-            scheduler.translate_batch([program_text(1), "function broken("])
+            scheduler.translate("function broken(")
+        assert scheduler.translate(program_text(1)).cached is False
+        assert scheduler.stats_payload()["requests"] == 1
 
     def test_single_requests_route_by_digest(self):
         scheduler = ShardedScheduler("us_i", shards=3)
@@ -322,7 +324,8 @@ class TestShardedScheduler:
 
     def test_flush_counts_across_shards(self):
         scheduler = ShardedScheduler("us_i", shards=2)
-        scheduler.translate_batch([program_text(seed, size=18) for seed in range(3)])
+        for seed in range(3):
+            scheduler.translate(program_text(seed, size=18))
         assert scheduler.flush() == 3
 
 
