@@ -254,6 +254,46 @@ class TestServiceCommands:
             server.shutdown()
             server.server_close()
 
+    def test_request_sends_one_translate_per_file_and_batch_as_one_frame(
+        self, lost_copy_file, tmp_path, capsys
+    ):
+        import json
+
+        from repro.gallery import figure3_swap_problem
+        from repro.service.server import TranslationServer
+
+        swap_file = tmp_path / "swap.ir"
+        swap_file.write_text(format_function(figure3_swap_problem()))
+        files = [lost_copy_file, str(swap_file)]
+
+        def requests_total(port):
+            assert main(["request", "metrics", "--port", port]) == 0
+            return json.loads(capsys.readouterr().out)["metrics"]["counters"]["requests_total"]
+
+        server = TranslationServer(engine="us_i", shards=1)
+        server.serve_in_background()
+        try:
+            port = str(server.port)
+            before = requests_total(port)
+            assert main(["request", "translate", *files, "--port", port]) == 0
+            per_file = capsys.readouterr()
+            # Two translate frames, plus the metrics request itself.
+            assert requests_total(port) - before == 3
+
+            before = requests_total(port)
+            assert main(["request", "translate_batch", *files, "--port", port]) == 0
+            batched = capsys.readouterr()
+            assert requests_total(port) - before == 2
+
+            # Same IR, in input order, and the batch found both in the cache.
+            assert batched.out == per_file.out
+            notes = batched.err.splitlines()
+            assert [note.split(":")[0] for note in notes] == [f"# {path}" for path in files]
+            assert all("cache hit" in note for note in notes)
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_removed_prefilter_option_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--parallel-coalescing", "2"])

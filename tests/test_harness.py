@@ -6,9 +6,23 @@ import typing
 import pytest
 
 from repro.bench import harness, reporting
-from repro.bench.harness import run_figure5, run_figure6, run_figure7
+from repro.bench.corpus import scaled_specs
+from repro.bench.harness import (
+    ServiceConcurrencyRow,
+    headline_summary,
+    run_figure5,
+    run_figure6,
+    run_figure7,
+    run_verify_stress,
+)
 from repro.bench.memory import MemoryFootprint, category_breakdown, footprint_of
-from repro.bench.reporting import format_figure5, format_figure6, format_figure7
+from repro.bench.reporting import (
+    format_figure5,
+    format_figure6,
+    format_figure7,
+    format_service_concurrency,
+    format_verify_stress,
+)
 from repro.bench.suite import build_suite
 from repro.coalescing.variants import VARIANTS
 from repro.outofssa.driver import ENGINE_CONFIGURATIONS, destruct_ssa, engine_by_name
@@ -58,6 +72,29 @@ class TestFigure6Harness:
         text = format_figure6(rows)
         assert "Sreedhar III" in text
 
+    def test_sum_row_totals_the_benchmarks(self, tiny_suite):
+        engines = [engine_by_name("sreedhar_iii"), engine_by_name("us_i_linear_intercheck_livecheck")]
+        rows = run_figure6(tiny_suite, engines=engines)
+        *benchmarks, sum_row = rows
+        for engine in engines:
+            name = engine.name
+            assert sum_row.seconds[name] == pytest.approx(sum(row.seconds[name] for row in benchmarks))
+            assert sum_row.intersection_queries[name] == sum(
+                row.intersection_queries[name] for row in benchmarks
+            )
+            assert sum_row.pair_queries[name] == sum(row.pair_queries[name] for row in benchmarks)
+
+    def test_query_counts_are_the_same_on_every_run(self, tiny_suite):
+        """The query counters explain the timing bars, so they must not move
+        between runs or repeats the way the seconds do."""
+        engines = ENGINE_CONFIGURATIONS[:3]
+        once = run_figure6(tiny_suite, engines=engines)
+        twice = run_figure6(tiny_suite, engines=engines, repeats=2)
+        assert [row.intersection_queries for row in once] == [
+            row.intersection_queries for row in twice
+        ]
+        assert [row.pair_queries for row in once] == [row.pair_queries for row in twice]
+
 
 class TestFigure7Harness:
     def test_memory_rows(self, tiny_suite):
@@ -94,6 +131,46 @@ class TestFigure7Harness:
         total = MemoryFootprint(1, 2, 3, 4) + MemoryFootprint(10, 20, 30, 40)
         assert (total.measured_total, total.measured_peak) == (11, 22)
         assert (total.evaluated_ordered_sets, total.evaluated_bit_sets) == (33, 44)
+
+
+class TestHeadline:
+    def test_headline_summary_direction(self, tiny_suite):
+        """The memory and copies halves of the headline; the speed-up is a
+        wall-clock reading, so its floor is in ``benchmarks/timing_floors.py``."""
+        summary = headline_summary(tiny_suite)
+        assert summary.speedup_vs_sreedhar > 0
+        assert summary.memory_reduction_vs_sreedhar > 2.0
+        assert summary.copies_ratio_vs_sreedhar <= 1.05
+
+
+class TestVerifyStressHarness:
+    def test_clean_corpus_has_no_diagnostics(self):
+        rows = run_verify_stress(scaled_specs([150, 300]), level="fast", repeats=2)
+        assert [row.level for row in rows] == ["fast", "fast"]
+        assert rows[0].blocks < rows[1].blocks
+        for row in rows:
+            assert (row.diagnostics, row.errors, row.warnings) == (0, 0, 0)
+            assert row.unchecked_seconds > 0 and row.checked_seconds > 0
+            assert row.overhead > 0
+        text = format_verify_stress(rows)
+        assert "overhead" in text and "diags" in text
+
+
+class TestServiceConcurrencyReport:
+    def test_rates_and_table(self):
+        idle = ServiceConcurrencyRow(mode="blocking")
+        assert (idle.requests_per_second, idle.hit_rate) == (0.0, 0.0)
+        busy = ServiceConcurrencyRow(
+            mode="pipelined[32]", clients=32, requests=40, hits=30, seconds=2.0,
+            p50_ms=1.5, queue_peak=3, speedup_vs_blocking=2.5,
+        )
+        assert busy.requests_per_second == pytest.approx(20.0)
+        assert busy.hit_rate == pytest.approx(0.75)
+        lines = format_service_concurrency([idle, busy]).splitlines()
+        assert "req/s" in lines[0] and "queue peak" in lines[0]
+        busy_line = next(line for line in lines if line.startswith("pipelined[32]"))
+        for cell in ("75%", "20.0", "1.50", "2.5x"):
+            assert cell in busy_line
 
 
 @pytest.mark.parametrize("module", [harness, reporting], ids=lambda m: m.__name__)
