@@ -18,14 +18,8 @@ from repro.bench.reporting import format_service_concurrency
 
 
 def test_pipelined_concurrent_clients_are_served_in_full():
-    rows = run_service_concurrency(
-        clients=32,
-        requests_per_client=12,
-        blocks=600,
-        functions=4,
-        engine="us_i",
-        shards=4,
-    )  # response bit-identity against the cold reference is checked inside
+    # Response bit-identity against the cold reference is checked inside.
+    rows = run_service_concurrency()
     table = format_service_concurrency(rows)
 
     by_mode = {row.mode.split("[")[0]: row for row in rows}

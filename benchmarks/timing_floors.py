@@ -140,14 +140,7 @@ def test_pipelined_concurrent_clients_sustain_blocking_throughput(results_dir):
     """The async daemon under 32 pipelined clients: at least the blocking
     path's warm requests/second (every response bit-identical, checked in
     the harness)."""
-    rows = run_service_concurrency(
-        clients=32,
-        requests_per_client=12,
-        blocks=600,
-        functions=4,
-        engine="us_i",
-        shards=4,
-    )
+    rows = run_service_concurrency()
     table = format_service_concurrency(rows)
     write_result(results_dir, "service_async_throughput.txt", table)
 

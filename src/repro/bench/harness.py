@@ -17,7 +17,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.bench.memory import MemoryFootprint, footprint_of
 from repro.bench.metrics import CopyCounts, copy_counts
@@ -301,20 +301,11 @@ class ServiceConcurrencyRow:
         return self.hits / self.requests if self.requests else 0.0
 
 
-def run_service_concurrency(
-    clients: int = 32,
-    requests_per_client: int = 12,
-    blocks: int = 600,
-    functions: int = 4,
-    engine: str = "us_i",
-    shards: int = 4,
-    workers: Optional[int] = None,
-    scale: float = 1.0,
-    seed: int = 0,
-) -> List[ServiceConcurrencyRow]:
-    """Blocking sequential serving vs N pipelined concurrent clients.
+def run_service_concurrency() -> List[ServiceConcurrencyRow]:
+    """Blocking sequential serving vs 32 pipelined concurrent clients.
 
-    One live asyncio daemon serves the same warm repeat-heavy traffic two
+    One live asyncio daemon (engine ``us_i``, 4 shards) serves the same warm
+    repeat-heavy traffic, drawn from 4 stress functions of 600 blocks, two
     ways: a single blocking client issuing ``clients × requests_per_client``
     requests one at a time (the old thread-per-connection profile — each
     request pays a full round trip before the next starts), then ``clients``
@@ -342,13 +333,14 @@ def run_service_concurrency(
     from repro.pipeline.pipeline import Pipeline
     from repro.service.client import AsyncServiceClient, ServiceClient
 
+    clients, requests_per_client, functions, engine = 32, 12, 4, "us_i"
     pool: List[str] = []
     references: Dict[str, str] = {}
     for index in range(functions):
         spec = CorpusSpec(
             name="async_serve",
-            seed=seed + index,
-            blocks=max(64, int(blocks * scale)),
+            seed=index,
+            blocks=600,
             loop_depth=3,
             variables=8,
         )
@@ -364,11 +356,9 @@ def run_service_concurrency(
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
     command = [
         sys.executable, "-m", "repro", "serve",
-        "--engine", engine, "--shards", str(shards),
-        "--max-pending", str(max(64, total)),
+        "--engine", engine, "--shards", "4",
+        "--max-pending", str(total),
     ]
-    if workers is not None:
-        command += ["--workers", str(workers)]
     daemon = subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
