@@ -93,9 +93,6 @@ class DominatorTree:
                 stack.append((child, False))
 
     # -- queries -------------------------------------------------------------------
-    def immediate_dominator(self, label: str) -> Optional[str]:
-        return self.idom.get(label)
-
     def children(self, label: str) -> List[str]:
         return self._children.get(label, [])
 

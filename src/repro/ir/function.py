@@ -9,7 +9,6 @@ blocks change.
 
 from __future__ import annotations
 
-import re
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.ir.block import BasicBlock
@@ -68,9 +67,6 @@ class Function:
 
     def __contains__(self, label: str) -> bool:
         return label in self.blocks
-
-    def block_labels(self) -> List[str]:
-        return list(self.blocks)
 
     # -- CFG edges --------------------------------------------------------------
     def invalidate_cfg(self) -> None:
@@ -139,7 +135,8 @@ class Function:
 
     def new_variable(self, hint: str = "t") -> Variable:
         """Create a variable with a fresh, unused name derived from ``hint``."""
-        base = re.sub(r"\.\d+$", "", hint) or "t"
+        head, dot, tail = hint.rpartition(".")
+        base = (head if dot and tail.isdecimal() else hint) or "t"
         while True:
             self._fresh_counter += 1
             name = f"{base}.{self._fresh_counter}"

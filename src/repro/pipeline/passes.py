@@ -62,10 +62,12 @@ class ConstructSSAPass(Pass):
     """Bring a non-SSA function to strict (pruned) SSA form."""
 
     name = "construct-ssa"
-    preserves = ()  # renames every variable and inserts φs
+    # Places φs and renames every variable but never edits the CFG, so
+    # dominators and block frequencies survive; variable-level analyses do not.
+    preserves = (DominatorTree, BlockFrequencies)
 
     def run(self, ctx) -> None:
-        construct_ssa(ctx.function)
+        construct_ssa(ctx.function, ctx.analyses.get(DominatorTree))
 
 
 class ValueNumberPass(Pass):
@@ -77,7 +79,7 @@ class ValueNumberPass(Pass):
     preserves = (DominatorTree, BlockFrequencies)
 
     def run(self, ctx) -> None:
-        value_number(ctx.function)
+        value_number(ctx.function, ctx.analyses.get(DominatorTree))
 
 
 class FoldCopiesPass(Pass):

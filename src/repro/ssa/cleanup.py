@@ -8,65 +8,75 @@ their inputs/outputs tidy.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 from repro.ir.function import Function
-from repro.ir.instructions import Call, Copy, Op, ParallelCopy, Phi, Print, Variable
+from repro.ir.instructions import Copy, Op, ParallelCopy, Phi, Variable
 
 
 _SIDE_EFFECT_FREE = (Op, Copy, Phi)
 
 
 def remove_dead_code(function: Function) -> int:
-    """Iteratively remove side-effect-free instructions whose results are unused.
+    """Remove side-effect-free instructions whose results are unused, to a fixpoint.
 
     Returns the number of instructions (or parallel-copy components) removed.
     ``Call`` and ``Print`` instructions are conservatively kept.
+
+    One walk counts the uses of every variable and collects the operands of
+    each removable definition (φ, ``Op``, ``Copy``, parallel-copy pair); a
+    worklist then pops the variables whose count is zero, kills all their
+    removable definitions and decrements those definitions' operands.  A
+    final sweep filters the blocks, keeping the survivors in order.  The
+    result is the fixpoint of removing unused definitions round after round
+    until a round removes nothing; a dead φ cycle keeps itself alive.
     """
-    removed_total = 0
-    while True:
-        used: Set[Variable] = set()
-        for block in function:
-            for instruction in block.instructions():
-                used.update(instruction.uses())
+    use_count: Dict[Variable, int] = {}
+    #: Operands of each variable's removable definitions, one list per site.
+    sites: Dict[Variable, List[List[Variable]]] = {}
+    for block in function:
+        for instruction in block.instructions():
+            uses = instruction.uses()
+            for var in uses:
+                use_count[var] = use_count.get(var, 0) + 1
+            if isinstance(instruction, ParallelCopy):
+                for dst, src in instruction.pairs:
+                    operands = [src] if isinstance(src, Variable) else []
+                    sites.setdefault(dst, []).append(operands)
+            elif isinstance(instruction, _SIDE_EFFECT_FREE):
+                sites.setdefault(instruction.dst, []).append(uses)
 
-        removed = 0
-        for block in function:
-            kept_phis = []
-            for phi in block.phis:
-                if phi.dst in used:
-                    kept_phis.append(phi)
-                else:
-                    removed += 1
-            block.phis = kept_phis
+    dead: Set[Variable] = set()
+    removed = 0
+    worklist = [var for var in sites if var not in use_count]
+    while worklist:
+        var = worklist.pop()
+        dead.add(var)
+        for operands in sites[var]:
+            removed += 1
+            for operand in operands:
+                count = use_count[operand] - 1
+                use_count[operand] = count
+                if count == 0 and operand in sites:
+                    worklist.append(operand)
 
-            kept_body = []
-            for instruction in block.body:
-                if isinstance(instruction, (Op, Copy)) and not any(
-                    var in used for var in instruction.defs()
-                ):
-                    removed += 1
+    for block in function:
+        block.phis = [phi for phi in block.phis if phi.dst not in dead]
+        kept_body = []
+        for instruction in block.body:
+            if isinstance(instruction, ParallelCopy):
+                instruction.pairs = [pair for pair in instruction.pairs if pair[0] not in dead]
+                if instruction.is_empty():
                     continue
-                if isinstance(instruction, ParallelCopy):
-                    before = len(instruction.pairs)
-                    instruction.pairs = [(d, s) for d, s in instruction.pairs if d in used]
-                    removed += before - len(instruction.pairs)
-                    if instruction.is_empty():
-                        continue
-                kept_body.append(instruction)
-            block.body = kept_body
-
-            for pcopy_attr in ("entry_pcopy", "exit_pcopy"):
-                pcopy = getattr(block, pcopy_attr)
-                if pcopy is not None:
-                    before = len(pcopy.pairs)
-                    pcopy.pairs = [(d, s) for d, s in pcopy.pairs if d in used]
-                    removed += before - len(pcopy.pairs)
-            block.drop_empty_pcopies()
-
-        removed_total += removed
-        if removed == 0:
-            return removed_total
+            elif isinstance(instruction, (Op, Copy)) and instruction.dst in dead:
+                continue
+            kept_body.append(instruction)
+        block.body = kept_body
+        for pcopy in (block.entry_pcopy, block.exit_pcopy):
+            if pcopy is not None:
+                pcopy.pairs = [pair for pair in pcopy.pairs if pair[0] not in dead]
+        block.drop_empty_pcopies()
+    return removed
 
 
 def remove_trivial_phis(function: Function) -> int:

@@ -5,11 +5,17 @@ no φ-functions) into pruned SSA:
 
 1. φ-functions are placed at the iterated dominance frontier of each
    variable's definition blocks, restricted to blocks where the variable is
-   live-in (pruned SSA, to avoid φs for dead paths).  Liveness comes from
-   the bit-set solver (:class:`~repro.liveness.bitsets.BitLivenessSets`),
-   which needs no SSA form, and is built once;
-2. a dominator-tree walk renames every definition to a fresh version and
-   rewrites uses to the reaching version, filling φ-arguments edge by edge.
+   live-in (pruned SSA, to avoid φs for dead paths).  Live-in comes from a
+   private block-level solve over int masks (:class:`_BlockLiveIn`), which
+   needs no SSA form, no variable index and no arena, and records nothing
+   in the allocation tracker;
+2. a dominator-tree pre-order walk renames every definition to a fresh
+   version and rewrites uses to the reaching version, filling φ-arguments
+   edge by edge.  The walk keeps an explicit stack, not Python recursion, so
+   a dominator tree thousands of blocks deep needs no raised recursion limit.
+
+The dominator tree may come from the caller (the pipeline's analysis cache):
+construction places φs and renames but never edits the CFG.
 
 Variables that may be read before being written (possible in generated
 workloads with loops) are given an implicit ``0`` initialisation at function
@@ -31,13 +37,13 @@ and define it in the terminator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from collections import deque
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.dominance import DominatorTree, dominance_frontiers, iterated_dominance_frontier
 from repro.ir.function import Function
 from repro.ir.instructions import BrDec, Constant, Op, Phi, Variable
 from repro.ir.validate import ValidationError
-from repro.liveness.bitsets import BitLivenessSets
 
 
 def _counter_variables(function: Function) -> Set[Variable]:
@@ -49,29 +55,87 @@ def _counter_variables(function: Function) -> Set[Variable]:
     return counters
 
 
-def construct_ssa(function: Function) -> Function:
-    """Convert ``function`` to pruned SSA form, in place, and return it."""
+class _BlockLiveIn:
+    """Live-in set of every block of a φ-free function, one int mask per block.
+
+    All that pruned φ placement asks of liveness.  One walk numbers the
+    variables and records each block's upward-exposed uses (``gen``) and
+    defs (``kill``); a backward worklist then solves
+    ``in(b) = gen(b) | (OR over successors s of in(s)) & ~kill(b)``.
+    """
+
+    def __init__(self, function: Function) -> None:
+        bits: Dict[Variable, int] = {}
+        gen: Dict[str, int] = {}
+        kill: Dict[str, int] = {}
+        for block in function:
+            used = defined = 0
+            for instruction in block.instructions():
+                for var in instruction.uses():
+                    bit = bits.setdefault(var, 1 << len(bits))
+                    if not defined & bit:
+                        used |= bit
+                for var in instruction.defs():
+                    defined |= bits.setdefault(var, 1 << len(bits))
+            gen[block.label] = used
+            kill[block.label] = defined
+        live_in = dict(gen)
+        worklist = deque(reversed(function.blocks))
+        queued = set(worklist)
+        while worklist:
+            label = worklist.popleft()
+            queued.discard(label)
+            out = 0
+            for successor in function.successors(label):
+                out |= live_in[successor]
+            new_in = gen[label] | (out & ~kill[label])
+            if new_in != live_in[label]:
+                live_in[label] = new_in
+                for predecessor in function.predecessors(label):
+                    if predecessor not in queued:
+                        queued.add(predecessor)
+                        worklist.append(predecessor)
+        self._bits = bits
+        self._live_in = live_in
+
+    def is_live_in(self, label: str, var: Variable) -> bool:
+        return bool(self._live_in[label] & self._bits.get(var, 0))
+
+
+def construct_ssa(function: Function, domtree: Optional[DominatorTree] = None) -> Function:
+    """Convert ``function`` to pruned SSA form, in place, and return it.
+
+    ``domtree`` may be a dominator tree of ``function`` already at hand (the
+    pipeline passes its cached one); construction never edits the CFG, so
+    the tree stays valid afterwards.
+    """
     if function.has_phis():
         raise ValueError("construct_ssa expects a function without phi-functions")
 
-    domtree = DominatorTree(function)
+    domtree = domtree if domtree is not None else DominatorTree(function)
     frontiers = dominance_frontiers(function, domtree)
-    liveness = BitLivenessSets(function)
+    liveness = _BlockLiveIn(function)
     counters = _counter_variables(function)
 
     # ------------------------------------------------------------------ defs
+    # One walk: each variable's definition blocks, and every variable in
+    # ``Function.variables`` order (parameters, then defs and uses as met).
+    variables: Dict[Variable, None] = dict.fromkeys(function.params)
     def_blocks: Dict[Variable, Set[str]] = {}
     for block in function:
         for instruction in block.instructions():
             for var in instruction.defs():
                 def_blocks.setdefault(var, set()).add(block.label)
+                variables[var] = None
+            for var in instruction.uses():
+                variables[var] = None
     for param in function.params:
         def_blocks.setdefault(param, set()).add(function.entry_label)  # type: ignore[arg-type]
 
     # Variables read before written anywhere get a zero-initialisation at entry.
     entry_block = function.entry
     zero_inits: List[Variable] = []
-    for var in list(function.variables()):
+    for var in variables:
         if var in counters or var in def_blocks and function.entry_label in def_blocks[var]:
             continue
         if liveness.is_live_in(function.entry_label, var) or var not in def_blocks:
@@ -80,7 +144,7 @@ def construct_ssa(function: Function) -> Function:
         entry_block.body.insert(0, Op(var, "const", [Constant(0)]))
         def_blocks.setdefault(var, set()).add(entry_block.label)
     if zero_inits and function.predecessors(entry_block.label):
-        liveness = BitLivenessSets(function)  # the entry's live-in can reach a join
+        liveness = _BlockLiveIn(function)  # the entry's live-in can reach a join
 
     # ------------------------------------------------------------ φ placement
     phis_for: Dict[str, Dict[Variable, Phi]] = {label: {} for label in function.blocks}
@@ -127,7 +191,8 @@ def construct_ssa(function: Function) -> Function:
     for param in function.params:
         version_stacks.setdefault(param, []).append(param)
 
-    def rename_block(label: str) -> None:
+    def rename_block(label: str) -> List[Variable]:
+        """Rename ``label``'s definitions and uses; return the pushed variables."""
         block = function.blocks[label]
         pushed: List[Variable] = []
 
@@ -156,14 +221,19 @@ def construct_ssa(function: Function) -> Function:
                 original = original_of.get(phi)
                 if original is not None:
                     phi.set_arg(label, current_version(original))
+        return pushed
 
-        for child in domtree.children(label):
-            rename_block(child)
-
-        for var in pushed:
-            version_stacks[var].pop()
-
-    rename_block(function.entry_label)  # type: ignore[arg-type]
+    # Dominator-tree pre-order with an explicit stack: a block's versions are
+    # popped once all of its dominator-tree children are renamed.
+    stack: List[Tuple[str, Optional[List[Variable]]]] = [(function.entry_label, None)]
+    while stack:
+        label, pushed = stack.pop()
+        if pushed is not None:
+            for var in pushed:
+                version_stacks[var].pop()
+            continue
+        stack.append((label, rename_block(label)))
+        stack.extend((child, None) for child in reversed(domtree.children(label)))
     function.invalidate_cfg()
     function.pinned = {
         pinned_version.get(var, var): register for var, register in function.pinned.items()

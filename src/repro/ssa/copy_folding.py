@@ -125,7 +125,8 @@ def value_number(function: Function, domtree: Optional[DominatorTree] = None) ->
     # undo log per block.
     table: Dict[Tuple, Variable] = {}
 
-    def visit(label: str) -> None:
+    def visit(label: str) -> List[Tuple]:
+        """Number ``label``'s instructions; return the keys it added to ``table``."""
         nonlocal removed
         block = function.blocks[label]
         added_keys: List[Tuple] = []
@@ -164,14 +165,20 @@ def value_number(function: Function, domtree: Optional[DominatorTree] = None) ->
         for successor in function.successors(label):
             for phi in function.blocks[successor].phis:
                 phi.replace_uses(replacement)
+        return added_keys
 
-        for child in domtree.children(label):
-            visit(child)
+    # Dominator-tree pre-order with an explicit stack: a block's keys leave
+    # the table once all of its dominator-tree children are numbered.
+    stack: List[Tuple[str, Optional[List[Tuple]]]] = [(function.entry_label, None)]
+    while stack:
+        label, added_keys = stack.pop()
+        if added_keys is not None:
+            for key in added_keys:
+                del table[key]
+            continue
+        stack.append((label, visit(label)))
+        stack.extend((child, None) for child in reversed(domtree.children(label)))
 
-        for key in added_keys:
-            del table[key]
-
-    visit(function.entry_label)  # type: ignore[arg-type]
     # A final pass rewrites any remaining uses of replaced variables (e.g. in
     # φ-functions of blocks visited before the replacement was discovered).
     if replacement:

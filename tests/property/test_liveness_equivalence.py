@@ -5,10 +5,13 @@ worklist) must answer every block-level liveness query identically to the
 round-robin ordered-set oracle ``LivenessSets``, on arbitrary CFGs from the
 workload generator — both on raw SSA functions and after Method I φ-copy
 insertion (the shape the engines actually analyse) — and on the non-SSA
-stress corpus, the input SSA construction prunes its φs with.  The solve runs
-over a :class:`~repro.ir.flat.FlatFunction` arena: one passed in is used
-while current and replaced by a private lowering once the function has moved
-past it.
+stress corpus.  The solve runs over a :class:`~repro.ir.flat.FlatFunction`
+arena: one passed in is used while current and replaced by a private
+lowering once the function has moved past it.
+
+SSA construction prunes its φs with a private block-level live-in solve;
+it is checked against ``LivenessSets`` directly and through whole
+constructions, with the reference patched in.
 """
 
 from unittest import mock
@@ -132,10 +135,39 @@ class CurrentLivenessSets:
 
 def assert_same_construction(function):
     reference = function.copy()
-    with mock.patch.object(construction, "BitLivenessSets", CurrentLivenessSets):
+    with mock.patch.object(
+        construction, "_BlockLiveIn", side_effect=CurrentLivenessSets
+    ) as oracle:
         construction.construct_ssa(reference)
+    assert oracle.called  # the reference really answered the pruning queries
     construction.construct_ssa(function)
     assert format_function(function) == format_function(reference)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    blocks=st.integers(min_value=10, max_value=120),
+    irreducible=st.sampled_from([0.0, 0.05, 0.15]),
+    loop_to_entry=st.booleans(),
+    prologue=st.booleans(),
+)
+def test_construction_live_in_matches_reference_before_ssa(
+    seed, blocks, irreducible, loop_to_entry, prologue
+):
+    """The block-level solve construction prunes with answers every live-in
+    query as ``LivenessSets`` does, irreducible regions included."""
+    function = stress_function(seed, blocks, irreducible, loop_to_entry)
+    if prologue:
+        insert_zero_init_prologue(function)
+    reference = LivenessSets(function)
+    live_in = construction._BlockLiveIn(function)
+    variables = function.variables()
+    for label in function.blocks:
+        for var in variables:
+            assert live_in.is_live_in(label, var) == reference.is_live_in(label, var), (
+                f"live-in mismatch for {var} at {label} in {function.name}"
+            )
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,10 @@
 """Unit tests for blocks, functions, the builder and program positions."""
 
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ir.builder import FunctionBuilder
 from repro.ir.editlog import EditLog
@@ -187,3 +191,17 @@ class TestEditLog:
     def test_empty_log_is_falsy(self):
         log = EditLog()
         assert not log and len(log) == 0
+
+
+@given(
+    hint=st.text(
+        alphabet=st.sampled_from(list("abx_.0123456789") + ["\u0663", "\u00b2"]), max_size=8
+    )
+)
+def test_new_variable_strips_one_version_suffix_like_the_regex(hint):
+    """``x.12`` hints ``x``: one trailing ``.<decimal digits>`` goes, as
+    ``re.sub(r"\\.\\d+$", "", hint)`` would strip it (identifier names hold no
+    newline, the one place ``$`` would differ)."""
+    function = Function("f")
+    base = re.sub(r"\.\d+$", "", hint) or "t"
+    assert function.new_variable(hint).name == f"{base}.1"

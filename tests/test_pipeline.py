@@ -1,10 +1,12 @@
 """Tests for the pass pipeline, the analysis cache and the batch session."""
 
 import dataclasses
+import sys
 from unittest import mock
 
 import pytest
 
+from repro.bench.corpus import CorpusSpec, generate_stress_cfg
 from repro.cfg.dominance import DominatorTree
 from repro.cfg.frequency import estimate_block_frequencies
 from repro.coalescing.engine import AggressiveCoalescer, collect_affinities
@@ -18,6 +20,7 @@ from repro.interp import run_function
 from repro.ir import format_function
 from repro.ir.flat import FlatFunction
 from repro.ir.function import Function
+from repro.ir.instructions import Return
 from repro.ir.parser import parse_function
 from repro.ir.positions import DefUseIndex
 from repro.liveness.bitsets import BitLivenessSets
@@ -32,11 +35,15 @@ from repro.outofssa.result import OutOfSSAStats
 from repro.pipeline import (
     AnalysisCache,
     BlockFrequencies,
+    ConstructSSAPass,
+    FoldCopiesPass,
     IsolationPass,
     PassManager,
     Pipeline,
     PipelineContext,
+    RemoveDeadCodePass,
     Session,
+    ValueNumberPass,
     resolve_engine,
 )
 from repro.pipeline.analysis import StaleAnalysisError
@@ -436,7 +443,7 @@ class TestOneDefUseWalk:
 
     @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
     def test_one_index_per_retranslation(self, config):
-        from repro.bench.corpus import CorpusSpec, generate_stress_cfg, random_edit_batch
+        from repro.bench.corpus import random_edit_batch
         from repro.service import TranslationService
 
         service = TranslationService(config)
@@ -446,6 +453,87 @@ class TestOneDefUseWalk:
         state = service.cache.warm_state(first.digest, first.fingerprint)
         log = random_edit_batch(state.function, seed=5)
         assert self._index_builds(lambda: service.retranslate(first.digest, log, config)) == 1
+
+
+def stress_input(seed=7, blocks=80):
+    """A non-SSA stress-corpus function with loops and an irreducible region."""
+    return generate_stress_cfg(
+        CorpusSpec(seed=seed, blocks=blocks, loop_depth=3, variables=8, irreducible=0.1)
+    )
+
+
+class TestLeanFrontHalf:
+    """The SSA front half reads the pipeline's one dominator tree, builds no
+    arena or def/use index for its pruning liveness, charges nothing to the
+    allocation tracker, and needs no raised recursion limit."""
+
+    FRONT_HALF = (ConstructSSAPass, ValueNumberPass, FoldCopiesPass, RemoveDeadCodePass)
+
+    @staticmethod
+    def _builds(analysis_type, action) -> int:
+        built = []
+        original = analysis_type.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        with mock.patch.object(analysis_type, "__init__", counting):
+            action()
+        return len(built)
+
+    def test_front_half_builds_one_dominator_tree(self):
+        function = stress_input()
+        front = Pipeline([pass_type() for pass_type in self.FRONT_HALF])
+        cache = AnalysisCache(function, front.config)
+        assert self._builds(DominatorTree, lambda: front.run(function, cache=cache)) == 1
+        assert cache.constructions[DominatorTree] == 1
+
+    def test_construct_ssa_builds_no_arena_or_index(self):
+        function = stress_input()
+        construct = Pipeline([ConstructSSAPass()])
+        builds = [
+            self._builds(analysis_type, lambda: construct.run(function.copy()))
+            for analysis_type in (FlatFunction, DefUseIndex, BitLivenessSets, LivenessSets)
+        ]
+        assert builds == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
+    def test_a_front_half_translation_builds_at_most_two_trees(self, config):
+        pipeline = Pipeline.for_engine(config, construct_ssa=True, optimize=True)
+        for function in (stress_input(), non_ssa_max_function()):
+            assert self._builds(DominatorTree, lambda: pipeline.run(function)) <= 2
+
+    @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
+    def test_front_half_charges_nothing_to_the_tracker(self, config):
+        """Figure 7 bytes of a front-half run are those of the out-of-SSA
+        passes alone, run on a copy of the front half's output."""
+        function = stress_input()
+        Pipeline([pass_type() for pass_type in self.FRONT_HALF]).run(function)
+        alone = Pipeline.for_engine(config).run(function.copy())
+        whole = Pipeline.for_engine(config, construct_ssa=True, optimize=True).run(
+            stress_input()
+        )
+        assert whole.tracker.by_category() == alone.tracker.by_category()
+        if config.liveness == "check":
+            assert "liveness_bitsets" not in whole.tracker.by_category()
+
+    @pytest.mark.parametrize("config", ENGINE_CONFIGURATIONS, ids=lambda c: c.name)
+    def test_a_long_chain_translates_at_the_default_recursion_limit(self, config):
+        """2500 blocks in a row make a dominator tree 2500 deep; every walk
+        over it keeps an explicit stack."""
+        function = generate_stress_cfg(
+            CorpusSpec(name="chain", blocks=2500, loop_probability=0.0, branch_probability=0.0)
+        )
+        exit_label = next(b.label for b in function if isinstance(b.terminator, Return))
+        assert len(DominatorTree(function).dominators_of(exit_label)) >= 2500
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            Pipeline.for_engine(config, construct_ssa=True, optimize=True).run(function)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert not function.has_phis()
 
 
 class TestGenerationGuard:

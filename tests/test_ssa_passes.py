@@ -1,5 +1,8 @@
 """Tests for SSA construction, copy folding, value numbering and cleanups."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.interp import run_function
@@ -244,3 +247,32 @@ class TestCleanup:
         assert removed == 1
         assert not function.blocks["join"].phis
         assert_same_behaviour(original, function, [(0,), (1,)])
+
+
+def _self_recursive_functions(path):
+    """``name:line`` of each function in ``path`` that calls itself by name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func
+            if (isinstance(callee, ast.Name) and callee.id == node.name) or (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == node.name
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id == "self"
+            ):
+                found.append(f"{path.name}:{node.name}:{node.lineno}")
+    return found
+
+
+def test_no_recursive_walks_over_the_cfg_or_the_dominator_tree():
+    """A walk that recurses per block overflows Python's stack on a
+    dominator tree a few thousand blocks deep; keep explicit stacks."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    files = sorted((package / "ssa").glob("*.py")) + sorted((package / "cfg").glob("*.py"))
+    assert files
+    assert [name for path in files for name in _self_recursive_functions(path)] == []
